@@ -16,8 +16,8 @@ assignment matrix), and baking it into the plan would silently freeze
 one input's data into every future replay.  Plan compilation therefore
 rejects any traced leaf that was born during capture unless it was
 explicitly blessed as input-independent (scalar operands are blessed
-automatically; model code blesses buffers via :meth:`GraphCapture.constant`
-or routes data-dependent values through :meth:`GraphCapture.custom`).
+automatically; model code routes data-dependent values through
+:meth:`GraphCapture.custom`).
 """
 
 from __future__ import annotations
@@ -103,12 +103,6 @@ class GraphCapture:
         """Declare ``tensor`` a traced input (replay substitutes its data)."""
         self.births[id(tensor)] = tensor
         self.input_ids.add(id(tensor))
-
-    def constant(self, array: np.ndarray) -> Tensor:
-        """Wrap a live parameter/buffer array as a blessed graph leaf."""
-        out = Tensor._wrap(array)
-        self.bless(out)
-        return out
 
     def custom(
         self,

@@ -13,7 +13,7 @@ Subcommands::
     python -m repro serve    --replay [--entities 4] [--steps 128] [--shards N]
     python -m repro serve    --replay --maintenance [--shift-after 96]
     python -m repro serve    --replay --shards 2 --trace --slo-p99-ms 250
-    python -m repro serve    --replay --engine plan [--shards N]
+    python -m repro serve    --replay --engine eager [--shards N]   # reference engine
 
 All commands operate on the synthetic dataset surrogates (seeded, see
 DESIGN.md) and print plain-text tables.  Model-building commands accept
@@ -726,10 +726,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--forecast-every", type=int, default=8,
                        help="request a forecast every N steps per entity")
     serve.add_argument("--max-batch", type=int, default=32)
-    serve.add_argument("--engine", default="eager", choices=["eager", "plan"],
-                       help="forward engine for batched forecasts: 'eager' "
-                            "(reference) or 'plan' (compiled execution plans, "
-                            "bit-identical in float64; see docs/api.md)")
+    serve.add_argument("--engine", default="plan", choices=["plan", "eager"],
+                       help="forward engine for batched forecasts: 'plan' "
+                            "(default; compiled execution plans, bit-identical "
+                            "in float64; see docs/api.md) or 'eager' (reference)")
     serve.add_argument("--queue-capacity", type=int, default=256)
     serve.add_argument("--nan-policy", default="reject",
                        choices=["reject", "impute_last", "impute_prototype"])

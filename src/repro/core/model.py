@@ -76,6 +76,21 @@ class FOCUSConfig:
         return self.lookback // self.segment_length
 
 
+def plan_chunks(batch: int, cap: int) -> list[int]:
+    """Split ``batch`` rows into power-of-two chunks of at most ``cap``.
+
+    Largest first; ``cap`` must itself be a power of two.  With cap 32,
+    19 rows run as ``[16, 2, 1]`` and 70 as ``[32, 32, 4, 2]``.
+    """
+    chunks = [cap] * (batch // cap)
+    rest = batch % cap
+    while rest:
+        top = 1 << (rest.bit_length() - 1)
+        chunks.append(top)
+        rest -= top
+    return chunks
+
+
 class FOCUSForecaster(Module):
     """FOCUS: forecasting with offline clustering using segments.
 
@@ -107,9 +122,9 @@ class FOCUSForecaster(Module):
         # this so EMA adaptation invalidates stale cached forecasts.
         self._prototype_version = 0
         # Compiled execution plans (repro.engine), keyed by
-        # (input shape, input dtype, prototype version).  Guarded by a
-        # lock: serving threads share the cache, and a build must not
-        # race a mutation-triggered invalidation.
+        # (input shape, input dtype).  Plans read the prototype buffers
+        # live, so prototype swaps keep them; only to_dtype evicts.
+        # Guarded by a lock: serving threads share the cache.
         self._plans: "collections.OrderedDict" = collections.OrderedDict()
         self._plan_lock = threading.Lock()
         # (key, plan) of the most recent hit, read without the lock.
@@ -185,7 +200,6 @@ class FOCUSForecaster(Module):
                     mixer.invalidate_cache()
         self._has_prototypes = True
         self._prototype_version += 1
-        self._invalidate_plans()
 
     @property
     def prototype_version(self) -> int:
@@ -257,7 +271,6 @@ class FOCUSForecaster(Module):
                 if hasattr(mixer, "invalidate_cache"):
                     mixer.invalidate_cache()
         self._prototype_version += 1
-        self._invalidate_plans()
 
     @classmethod
     def from_training_data(
@@ -363,14 +376,18 @@ class FOCUSForecaster(Module):
         to a single-window forward of the same window — the invariant the
         serving equivalence suite (``tests/serving``) pins down.
 
-        ``engine`` selects the executor: ``"eager"`` (default) runs the
-        autograd forward and stays the reference implementation;
-        ``"plan"`` replays a compiled :class:`repro.engine.ExecutionPlan`
-        — bit-identical to eager in float64 (``tests/plan`` pins it) but
-        free of per-op Python dispatch.  Plans are traced on first use
-        per (batch shape, dtype, prototype version) and invalidated by
-        ``set_prototypes`` / ``update_prototype`` / ``to_dtype``; per
-        -thread arenas make concurrent replay safe.
+        ``engine`` selects the executor: ``"eager"`` (default here) runs
+        the autograd forward and is the reference implementation;
+        ``"plan"`` (the serving default) replays compiled
+        :class:`repro.engine.ExecutionPlan` objects — bit-identical to
+        eager in float64 (``tests/plan`` pins it) but free of per-op
+        Python dispatch.  The plan engine runs any batch as power-of-two
+        row chunks of at most :attr:`PLAN_MAX_ROWS` (B=19 as 16+2+1), so
+        at most six plans serve every batch size; the independence of
+        rows keeps the result bit-identical.  Plans are traced on first
+        use per (chunk shape, dtype), survive prototype swaps (they read
+        the prototype buffers live), are evicted only by ``to_dtype``,
+        and replay concurrently from per-thread arenas.
 
         Returns a fresh float64 array that aliases no internal buffer.
         """
@@ -386,49 +403,55 @@ class FOCUSForecaster(Module):
                 # Mirror Tensor.__init__'s coercion of non-float inputs so
                 # the plan's input signature matches what eager would run.
                 windows = windows.astype(get_default_dtype())
-            prediction = self._plan_for(windows).replay(windows)
-        elif engine == "eager":
-            with ag.no_grad():
-                prediction = self(Tensor(windows)).data
-        else:
+            chunks = plan_chunks(len(windows), self.PLAN_MAX_ROWS)
+            if len(chunks) == 1:
+                # .astype copies the arena result out: callers may
+                # mutate the forecasts.
+                return self._plan_for(windows).replay(windows).astype(np.float64)
+            # Writing each chunk's arena result into a fresh float64
+            # array is the copy-out.
+            prediction = np.empty((len(windows), cfg.horizon, cfg.num_entities))
+            start = 0
+            for rows in chunks:
+                chunk = windows[start : start + rows]
+                prediction[start : start + rows] = self._plan_for(chunk).replay(chunk)
+                start += rows
+            return prediction
+        if engine != "eager":
             raise ValueError(
                 f"unknown engine {engine!r}; choose 'eager' or 'plan'"
             )
+        with ag.no_grad():
+            prediction = self(Tensor(windows)).data
         # .astype always copies — serving hands forecasts to callers that
-        # may mutate them, and the engine may reuse forward buffers (the
-        # plan replay returns a per-thread arena buffer).
+        # may mutate them.
         return prediction.astype(np.float64)
 
     # ------------------------------------------------------------------
     # Plan engine (repro.engine)
     # ------------------------------------------------------------------
-    #: Plans kept per model; distinct batch shapes and dtypes each need
-    #: their own trace, so serving with ragged batch sizes holds a few.
+    #: Largest chunk the plan engine replays; bigger batches split into
+    #: several chunks.  Power-of-two chunk sizes up to this cap need at
+    #: most log2(PLAN_MAX_ROWS) + 1 = 6 plans per dtype.
+    PLAN_MAX_ROWS = 32
+    #: Plans kept per model: the six chunk shapes of one dtype fit.
     PLAN_CACHE_CAPACITY = 8
 
     def _plan_for(self, windows: np.ndarray):
         """Fetch (or trace and compile) the plan for this input signature."""
-        key = (windows.shape, windows.dtype.str, self._prototype_version)
-        # Lock-free fast path for the steady state (same shape, same
-        # bank): safe because the key embeds the prototype version, so a
-        # stale cached pair can never match a post-mutation key.
+        key = (windows.shape, windows.dtype.str)
+        # Lock-free fast path for the steady state (same shape).
         cached = self._last_plan
         if cached is not None and cached[0] == key:
             return cached[1]
         with self._plan_lock:
             plan = self._plans.get(key)
-            if plan is not None:
+            if plan is None:
+                plan = self._plans[key] = self._trace_plan(windows)
+                while len(self._plans) > self.PLAN_CACHE_CAPACITY:
+                    self._plans.popitem(last=False)
+            else:
                 self._plans.move_to_end(key)
-                self._last_plan = (key, plan)
-                return plan
-            plan = self._trace_plan(windows)
-            # Plans traced under older prototype banks can never hit
-            # again — the version is part of the key — so drop them.
-            for stale in [k for k in self._plans if k[2] != key[2]]:
-                del self._plans[stale]
-            self._plans[key] = plan
-            while len(self._plans) > self.PLAN_CACHE_CAPACITY:
-                self._plans.popitem(last=False)
             self._last_plan = (key, plan)
             return plan
 
@@ -441,9 +464,15 @@ class FOCUSForecaster(Module):
             traced = Tensor(windows)
             capture.mark_input(traced)
             output = self(traced)
-        # compile_plan self-checks: the fresh plan must reproduce the
-        # traced forward bit-for-bit before it is ever served.
-        return compile_plan(capture, [traced], output)
+        plan = compile_plan(capture, [traced], output, self_check=False)
+        # The fresh plan must reproduce the traced forward bit-for-bit
+        # before it is ever served.  Checking after the capture (every
+        # traced intermediate) is released lets the check's arena reuse
+        # that memory instead of adding to the trace's peak.
+        expected = output.data
+        del capture, output
+        plan.check([traced.data], expected)
+        return plan
 
     def plan_stats(self):
         """Compile stats of the most recently used plan (or ``None``).
@@ -461,7 +490,7 @@ class FOCUSForecaster(Module):
 
     def to_dtype(self, dtype) -> "FOCUSForecaster":
         # Casting replaces parameter/buffer arrays, severing the live
-        # references a compiled plan folded in — retrace from scratch.
+        # references a compiled plan holds — retrace from scratch.
         result = super().to_dtype(dtype)
         self._invalidate_plans()
         return result

@@ -20,6 +20,7 @@ from repro import autograd as ag
 from repro.autograd import Tensor
 from repro.autograd.tensor import get_default_dtype
 from repro.core.clustering import composite_distance
+from repro.engine.plan import scratch_buffer
 from repro.nn import Linear, Module
 from repro.profiling.counter import active_counter
 
@@ -82,10 +83,20 @@ class ProtoAttn(Module):
         # the projection is recomputed only when W_E or C actually change.
         # Tuple of (W_E snapshot, prototype snapshot, projected queries).
         self._query_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # Bumped by invalidate_cache(); compiled plans key their cached
+        # prototype statistics on it (see _replay_distances).
+        self._generation = 0
 
     def invalidate_cache(self) -> None:
-        """Drop the cached prototype query projection."""
+        """Drop every cache derived from the prototype buffer.
+
+        Called after the prototypes are written in place
+        (``set_prototypes`` / ``update_prototype``): clears the eager
+        query-projection cache and bumps the generation that compiled
+        plans check before reusing their prototype statistics.
+        """
         self._query_cache = None
+        self._generation += 1
 
     def _proto_queries(self) -> Tensor:
         """C_Q = W_E(C), cached between inference forwards.
@@ -206,13 +217,18 @@ class ProtoAttn(Module):
         the plan: both are recorded as custom nodes whose replay
         closures recompute the nearest-prototype search from the live
         ``prototypes`` buffer and the replayed segments.  The prototype
-        query projection bypasses the value-compare ``_query_cache`` —
-        it is a pure function of parameters, so the compiler constant
-        folds it (eliminating the per-call cache validation scans).
+        query projection is a custom node too, recomputed from the live
+        buffers whenever the prototypes were rewritten in place, so a
+        plan stays valid across a swap (a swap never retraces).
         """
         assignment = self.assignment_weights(segments.data)  # (B, l, k)
         self.last_assignment_ = assignment.argmax(axis=-1)
-        proto_queries = self.w_e(capture.constant(self.prototypes))  # (k, d)
+        proto_queries = capture.custom(
+            "protoattn_queries",
+            self._replay_queries((), None, {}, None),
+            (),
+            self._replay_queries,
+        )  # (k, d)
         keys = self.w_k(segments)  # (B, l, d)
         values = self.w_v(segments)  # (B, l, d)
         scores = ag.matmul(proto_queries, ag.swapaxes(keys, -1, -2))  # (B, k, l)
@@ -239,6 +255,23 @@ class ProtoAttn(Module):
             "protoattn_assign", assignment, (segments,), self._replay_assignment
         )
         return ag.matmul(routed, proto_context)  # (B, l, d)
+
+    def _replay_queries(self, srcs, out, scratch, extras):
+        """C_Q = W_E(C) from the live weight and prototype buffers.
+
+        The same ``prototypes @ weight.T`` the eager ``Linear`` runs,
+        recomputed whenever :attr:`_generation` has moved since this
+        arena last computed it (like the statistics in
+        :meth:`_replay_distances`), so it is never stale after an
+        in-place prototype write.  Weights, as everywhere in a plan, are
+        assumed not to change in place.
+        """
+        generation = self._generation
+        cached = scratch.get("queries")
+        if cached is None or cached[0] != generation:
+            queries = np.matmul(self.prototypes, self.w_e.weight.data.T)
+            cached = scratch["queries"] = (generation, queries)
+        return cached[1]
 
     def _replay_gather(self, srcs, out, scratch, extras):
         """Replay the hard-assignment gather from live prototypes.
@@ -272,48 +305,58 @@ class ProtoAttn(Module):
         operand order — so the distances (and therefore the argmin
         labels) are bitwise identical to the eager path; the scratch
         only removes temporary allocations and numpy dispatch overhead.
-        Prototype-derived statistics are cached alongside the buffers:
-        sanctioned prototype mutations invalidate the owning plan (and
-        with it every arena and scratch dict), so the cache cannot go
-        stale.  The compile-time self-check in
+        Prototype-derived statistics are cached per arena and keyed on
+        :attr:`_generation`, which :meth:`invalidate_cache` bumps after
+        every in-place prototype write.  The generation is read *before*
+        the prototype values: a write landing in between leaves the
+        statistics stamped with the old generation, so the next replay
+        recomputes them.  The compile-time self-check in
         :func:`repro.engine.compile_plan` verifies the equivalence on
         every trace.
         """
+        generation = self._generation
         prototypes = self.prototypes
         alpha = self.alpha
+        stats = scratch.get("stats")
+        if stats is None or stats[0] != generation:
+            pro_centered = prototypes - prototypes.mean(axis=1, keepdims=True)
+            # (pro**2).sum(axis=1)[None, :] and the transposed views used
+            # by the eager matmuls (``x @ w.T`` keeps w.T as an F-order
+            # view, so the cached views match its layout).
+            stats = scratch["stats"] = (
+                generation,
+                (prototypes**2).sum(axis=1)[None, :],
+                prototypes.T,
+                pro_centered.T,
+                np.linalg.norm(pro_centered, axis=1, keepdims=True).T,
+            )
+        _, pro_sq, prototypes_t, pro_centered_t, pro_norm_t = stats
         n = flat.shape[0]
         state = scratch.get("assign")
         if state is None or state["n"] != n or state["dtype"] != flat.dtype:
             k, p = prototypes.shape
             dt = flat.dtype
-            pro_centered = prototypes - prototypes.mean(axis=1, keepdims=True)
-            state = {
-                "n": n,
-                "dtype": dt,
-                # (pro**2).sum(axis=1)[None, :] and the transposed views
-                # used by the eager matmuls (``x @ w.T`` keeps w.T as an
-                # F-order view, so the cached views match its layout).
-                "pro_sq": (prototypes**2).sum(axis=1)[None, :],
-                "prototypes_t": prototypes.T,
-                "pro_centered_t": pro_centered.T,
-                "pro_norm_t": np.linalg.norm(pro_centered, axis=1, keepdims=True).T,
-                "sq": np.empty((n, p), dt),
-                "red": np.empty((n, 1), dt),
-                "centered": np.empty((n, p), dt),
-                "cross": np.empty((n, k), dt),
-                "dist": np.empty((n, k), dt),
-                "numer": np.empty((n, k), dt),
-                "denom": np.empty((n, k), dt),
-                "mask": np.empty((n, k), bool),
+            shapes = {
+                "sq": (n, p), "red": (n, 1), "centered": (n, p), "cross": (n, k),
+                "dist": (n, k), "numer": (n, k), "denom": (n, k), "mask": (n, k),
             }
+            # Pure temporaries of this call, so both mixers (and every
+            # plan on the thread) share them through the engine's pool.
+            state = {
+                name: scratch_buffer(
+                    f"protoattn.{name}", shape, bool if name == "mask" else dt
+                )
+                for name, shape in shapes.items()
+            }
+            state.update(n=n, dtype=dt)
             scratch["assign"] = state
 
         # Squared-Euclidean term: seg_sq + pro_sq[None, :] - 2.0 * x @ P.T,
         # clamped at zero (composite_distance, first half).
         sq = np.multiply(flat, flat, out=state["sq"])  # flat**2
         seg_sq = np.add.reduce(sq, axis=1, keepdims=True, out=state["red"])
-        cross = np.matmul(flat, state["prototypes_t"], out=state["cross"])
-        dist = np.add(seg_sq, state["pro_sq"], out=state["dist"])
+        cross = np.matmul(flat, prototypes_t, out=state["cross"])
+        dist = np.add(seg_sq, pro_sq, out=state["dist"])
         np.multiply(cross, 2.0, out=cross)
         np.subtract(dist, cross, out=dist)
         np.maximum(dist, 0.0, out=dist)
@@ -327,8 +370,8 @@ class ProtoAttn(Module):
         sq = np.multiply(centered, centered, out=state["sq"])
         seg_norm = np.add.reduce(sq, axis=1, keepdims=True, out=state["red"])
         np.sqrt(seg_norm, out=seg_norm)  # np.linalg.norm(seg, axis=1, ...)
-        numer = np.matmul(centered, state["pro_centered_t"], out=state["numer"])
-        denom = np.matmul(seg_norm, state["pro_norm_t"], out=state["denom"])
+        numer = np.matmul(centered, pro_centered_t, out=state["numer"])
+        denom = np.matmul(seg_norm, pro_norm_t, out=state["denom"])
         with np.errstate(invalid="ignore", divide="ignore"):
             mask = np.greater(denom, 1e-12, out=state["mask"])
             np.maximum(denom, 1e-12, out=denom)

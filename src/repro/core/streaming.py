@@ -139,12 +139,15 @@ class ObservationRing:
         return self.storage[(self.head - 1) % self.lookback].copy()
 
     def _guard(self, block: np.ndarray) -> tuple[np.ndarray, int, int]:
+        # All-finite fast path: the policy never runs, so neither the
+        # fill value nor the (copied) last row is needed.
+        if np.isfinite(block).all():
+            return block, 0, 0
         fill = 0.0
         if self.nan_policy == "impute_prototype" and self._fill_value is not None:
             fill = float(self._fill_value())
-        return apply_nan_policy(
-            block, self.nan_policy, last_row=self.last_written_row(), fill_value=fill
-        )
+        last_row = self.last_written_row() if self.nan_policy == "impute_last" else None
+        return apply_nan_policy(block, self.nan_policy, last_row=last_row, fill_value=fill)
 
     def observe(self, observation: np.ndarray) -> IngestResult:
         """Guard and write one ``(N,)`` row; returns what happened."""

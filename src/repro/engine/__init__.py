@@ -1,15 +1,15 @@
 """Fused execution-plan inference engine.
 
 Lowers one captured FOCUS forward to a flat numpy replay with no Tensor
-wrappers, no grad bookkeeping, constant-folded parameter projections,
-and liveness-assigned arena buffers.  The eager autograd forward stays
-the reference implementation; plans are proven bit-identical to it (in
-float64) by the ``tests/plan`` differential suite and by a mandatory
-compile-time self-check.
+wrappers, no grad bookkeeping, constant-folded input-independent
+subgraphs, and liveness-assigned arena buffers.  The eager autograd
+forward stays the reference implementation; plans are proven
+bit-identical to it (in float64) by the ``tests/plan`` differential
+suite and by a mandatory compile-time self-check.
 
 Entry points: :meth:`repro.core.model.FOCUSForecaster.forecast_batch`
-with ``engine="plan"``, ``ServingConfig(engine="plan")``, and
-``repro serve --engine plan``.
+with ``engine="plan"``, which the serving stack (``ServingConfig``,
+``FleetConfig``, ``repro serve``) uses by default.
 """
 
 from repro.engine.plan import (

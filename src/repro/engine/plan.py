@@ -20,25 +20,29 @@ traced output before the plan is returned).
 **Constant folding with live views.**  Any node whose ancestors are all
 input-independent leaves is folded to the value captured at trace time;
 pure view nodes over parameters (e.g. ``weight.T``) keep referencing the
-live arrays.  Folding is what eliminates the per-call prototype-query
-projection and its cache-validation scans.  Mutating parameters in
-place without retracing is **not** supported while a plan is cached —
-:class:`~repro.core.model.FOCUSForecaster` invalidates its plans on
-every sanctioned mutation (``set_prototypes``, ``update_prototype``,
-``to_dtype``).
+live arrays.  Values that must track in-place buffer writes are custom
+nodes instead, which always replay: ProtoAttn recomputes its prototype
+query projection and prototype statistics from the live prototype
+buffer, so :class:`~repro.core.model.FOCUSForecaster` keeps its plans
+across ``set_prototypes`` / ``update_prototype``.  Mutating other
+parameters in place without retracing is **not** supported while a plan
+is cached; ``to_dtype`` (which replaces every array) evicts the plans.
 
 **Arena reuse.**  Output buffers are assigned by liveness (linear-scan
 over the flat op list, views extending their root storage's lifetime),
 and elementwise ops whose source storage dies at that step write in
 place — fusing elementwise chains into a single buffer.  Arenas are
 per-thread (``threading.local``), so one shared plan replays
-concurrently from many serving threads without torn buffers.
+concurrently from many serving threads without torn buffers; on one
+thread, plans share equal-spec buffers through a per-thread pool.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import threading
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,7 +139,7 @@ def _k_softplus(srcs, out, scratch, extras):
 def _scratch_like(scratch: dict, key: str, ref: np.ndarray) -> np.ndarray:
     buf = scratch.get(key)
     if buf is None or buf.shape != ref.shape or buf.dtype != ref.dtype:
-        buf = scratch[key] = np.empty_like(ref)
+        buf = scratch[key] = scratch_buffer(key, ref.shape, ref.dtype)
     return buf
 
 
@@ -344,13 +348,57 @@ class PlanStats:
     arena_bytes: int  # bytes per per-thread arena
 
 
+# A thread runs one replay at a time and arena buffers are only live
+# during a replay, so every plan on a thread — of any model — draws
+# equal-spec buffers from one pool.  Values are weak: a buffer lives as
+# long as some arena holds it, and a model awaiting garbage collection
+# keeps no buffer memory of its own.
+_BUFFER_POOL = threading.local()
+
+
+def _pooled(key, shape, dtype) -> np.ndarray:
+    pool = getattr(_BUFFER_POOL, "buffers", None)
+    if pool is None:
+        pool = _BUFFER_POOL.buffers = weakref.WeakValueDictionary()
+    buffer = pool.get(key)
+    if buffer is None:
+        buffer = pool[key] = np.empty(shape, dtype)
+    return buffer
+
+
+def _pooled_buffers(specs) -> list[np.ndarray]:
+    taken: collections.Counter = collections.Counter()
+    buffers = []
+    for shape, dtype in specs:
+        spec = (shape, dtype.str)
+        # The n-th buffer of this spec in a plan.
+        buffers.append(_pooled((*spec, taken[spec]), shape, dtype))
+        taken[spec] += 1
+    return buffers
+
+
+def scratch_buffer(name: str, shape, dtype) -> np.ndarray:
+    """A kernel temporary, shared through this thread's pool by every
+    step of every plan that asks for the same ``name``, size and dtype.
+
+    Only valid within the calling kernel's own step: steps run one at a
+    time on a thread, but the next step asking for the key overwrites
+    it.  Keep a reference (e.g. in the step's scratch dict) so the
+    buffer stays pooled.
+    """
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape, dtype=np.int64))
+    flat = _pooled(("scratch", name, size, dtype.str), (size,), dtype)
+    return flat.reshape(shape)
+
+
 class ExecutionPlan:
     """A compiled forward: flat kernel steps over a per-thread arena.
 
-    ``replay`` returns an array owned by the calling thread's arena; it
-    is only valid until that thread's next ``replay`` call.  Callers
-    that keep the result (e.g. ``forecast_batch``) copy it out —
-    ``astype`` with ``copy=True`` semantics suffices.
+    ``replay`` returns an array owned by the calling thread's arena
+    buffers, which every plan on that thread shares; it is only valid
+    until that thread's next ``replay`` of any plan.  Callers that keep
+    the result (e.g. ``forecast_batch``) copy it out first.
     """
 
     def __init__(
@@ -387,7 +435,7 @@ class ExecutionPlan:
         and kept as a live step so stale contents are never frozen.
         """
         values = list(self._template)
-        buffers = [np.empty(shape, dtype) for shape, dtype in self._buffer_specs]
+        buffers = _pooled_buffers(self._buffer_specs)
         input_slots = set(self._input_slots)
         stable = {
             slot: value
@@ -407,7 +455,20 @@ class ExecutionPlan:
             steps.append((kernel, srcs, out_slot, out_buf, {}, extras))
             if out_buf is not None:
                 stable[out_slot] = out_buf
-        return (values, tuple(steps))
+        # Slots a replay fills with arrays of its own (the inputs, fresh
+        # results and views of them), cleared after each replay so they
+        # do not hold memory until the next one.
+        transient = self._input_slots + [step[2] for step in steps if step[3] is None]
+        transient = tuple(slot for slot in transient if slot != self._output_slot)
+        return (values, tuple(steps), transient)
+
+    def check(self, arrays: Sequence[np.ndarray], expected: np.ndarray) -> None:
+        """Replay ``arrays`` and require ``expected`` bit-for-bit (NaN-aware)."""
+        if not np.array_equal(self.replay(*arrays), expected, equal_nan=True):
+            raise PlanError(
+                "compiled plan does not reproduce the traced forward "
+                "bit-for-bit; a replay kernel diverged from its eager op"
+            )
 
     def replay(self, *arrays: np.ndarray) -> np.ndarray:
         """Execute the plan on ``arrays`` (one per traced input)."""
@@ -424,14 +485,17 @@ class ExecutionPlan:
         arena = getattr(self._tls, "arena", None)
         if arena is None:
             arena = self._tls.arena = self._new_arena()
-        values, steps = arena
+        values, steps, transient = arena
         for slot, array in zip(self._input_slots, arrays):
             values[slot] = array
         for kernel, srcs, out_slot, out_buf, scratch, extras in steps:
             values[out_slot] = kernel(
                 [values[j] for j in srcs], out_buf, scratch, extras
             )
-        return values[self._output_slot]
+        result = values[self._output_slot]
+        for slot in transient:
+            values[slot] = None
+        return result
 
 
 def _node_kind(node: CapturedNode) -> tuple[Callable, str]:
@@ -639,12 +703,7 @@ def compile_plan(
     )
 
     if self_check:
-        replayed = plan.replay(*[t.data for t in inputs])
-        if not np.array_equal(replayed, output.data, equal_nan=True):
-            raise PlanError(
-                "compiled plan does not reproduce the traced forward "
-                "bit-for-bit; a replay kernel diverged from its eager op"
-            )
+        plan.check([t.data for t in inputs], output.data)
     return plan
 
 

@@ -146,8 +146,9 @@ class MaintenanceWorker:
 
     Attach to a host with ``server.attach_maintenance(worker)`` /
     ``router.attach_maintenance(worker)`` (which feeds :meth:`record`
-    and binds the swap callable), or drive it synchronously in tests
-    via :meth:`run_once` / :meth:`propose` without :meth:`start`.
+    and binds the swap callable).  Either :meth:`start` the background
+    thread, step it from the host's own clock with :meth:`tick`, or
+    drive single jobs via :meth:`run_once` / :meth:`propose`.
     """
 
     def __init__(
@@ -185,7 +186,6 @@ class MaintenanceWorker:
             self.config.drift,
             registry=registry,
             run_logger=self.run_logger,
-            on_alarm=self._on_alarm,
         )
         # Serializes drift profiling + monitor state against resets.
         self._monitor_lock = threading.Lock()
@@ -289,7 +289,12 @@ class MaintenanceWorker:
             return
         profile = self.model.assignment_profile(window)
         with self._monitor_lock:
-            self.monitor.observe(profile["assignments"])
+            outcome = self.monitor.observe(profile["assignments"])
+        # Reacting to the returned verdict rather than through an
+        # on_alarm callback keeps the monitor free of a reference back
+        # to the worker.
+        if outcome["alarmed"]:
+            self._on_alarm(outcome["reason"])
         self._tick_watch()
 
     def _on_alarm(self, reason: str) -> None:
@@ -344,34 +349,49 @@ class MaintenanceWorker:
                     self._cond.wait(timeout=0.2)
                 if self._stop.is_set():
                     return
-                trigger = None
-                if self._pending_ready():
-                    trigger = self._pending_trigger
-                    self._pending_trigger = None
-                    self._in_flight = True
-                watch_due = self._watch_check_due
-                self._watch_check_due = False
-            if watch_due:
-                try:
-                    self.check_rollback(force=True)
-                except Exception:  # noqa: BLE001 - watch must not kill loop
-                    pass
-            if trigger is not None:
-                try:
-                    self.run_once(trigger)
-                except Exception as error:  # noqa: BLE001 - loop must survive
-                    # run_once handles refit/gate failures itself; this
-                    # catches host-side swap failures (e.g. a router
-                    # shutting down) so the loop keeps serving alarms.
-                    self.stats_counters["jobs_failed"] += 1
-                    self._event(
-                        "maintenance_job", trigger=trigger,
-                        status="failed", error=repr(error),
-                    )
-                finally:
-                    with self._cond:
-                        self._in_flight = False
-                        self._cond.notify_all()
+            self.tick()
+
+    def tick(self) -> dict | None:
+        """Run one iteration of the background loop on the calling thread.
+
+        Performs a due rollback check, then the pending job if it has
+        settled (``settle_rows`` fresh rows since it was requested).
+        Returns the job's result, or None when no job ran.  Hosts that
+        drive the worker from a logical clock — a replay loop, a test —
+        call this at each stream step instead of :meth:`start`, which
+        places alarm → refit → shadow → swap at deterministic steps.
+        """
+        with self._cond:
+            trigger = None
+            if self._pending_ready():
+                trigger = self._pending_trigger
+                self._pending_trigger = None
+                self._in_flight = True
+            watch_due = self._watch_check_due
+            self._watch_check_due = False
+        if watch_due:
+            try:
+                self.check_rollback(force=True)
+            except Exception:  # noqa: BLE001 - watch must not kill loop
+                pass
+        if trigger is None:
+            return None
+        try:
+            return self.run_once(trigger)
+        except Exception as error:  # noqa: BLE001 - loop must survive
+            # run_once handles refit/gate failures itself; this catches
+            # host-side swap failures (e.g. a router shutting down) so
+            # the loop keeps serving alarms.
+            self.stats_counters["jobs_failed"] += 1
+            self._event(
+                "maintenance_job", trigger=trigger,
+                status="failed", error=repr(error),
+            )
+            return None
+        finally:
+            with self._cond:
+                self._in_flight = False
+                self._cond.notify_all()
 
     def join_idle(self, timeout: float = 30.0) -> bool:
         """Block until no job is pending or in flight (test helper)."""

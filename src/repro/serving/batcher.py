@@ -78,7 +78,7 @@ class MicroBatcher:
         run_logger=None,
         health=None,
         process_name: str = "server",
-        engine: str = "eager",
+        engine: str = "plan",
     ):
         if fallback not in ("persistence", "seasonal"):
             raise ValueError(
@@ -242,13 +242,7 @@ class MicroBatcher:
             predictions = None
             finite = None
             try:
-                # The eager default keeps the legacy single-argument call
-                # so forecast_batch stand-ins (tests, wrappers) need not
-                # accept the keyword.
-                if self.engine == "eager":
-                    predictions = self.model.forecast_batch(windows)
-                else:
-                    predictions = self.model.forecast_batch(windows, engine=self.engine)
+                predictions = self.model.forecast_batch(windows, engine=self.engine)
                 finite = np.isfinite(predictions).all(axis=(1, 2))
             except Exception as error:  # noqa: BLE001 — serving must not crash
                 failure = f"model forward raised {type(error).__name__}: {error}"
@@ -268,9 +262,11 @@ class MicroBatcher:
                 self.cache is not None
                 and self.model.prototype_version == proto_version
             )
+            answered = 0  # rows the model answered (the rest fell back)
             for row, index in enumerate(pending):
                 session, window, version = requests[index]
                 ok = failure is None and bool(finite[row])
+                answered += ok
                 if ok:
                     forecast = predictions[row].copy()
                     source = "model"
@@ -297,9 +293,11 @@ class MicroBatcher:
                         session.stats.model_forecasts += 1
                     else:
                         session.stats.fallback_forecasts += 1
-                if instruments is not None:
-                    instruments["model" if ok else "fallback"].inc()
             if instruments is not None:
+                if answered:
+                    instruments["model"].inc(answered)
+                if answered < batch_size:
+                    instruments["fallback"].inc(batch_size - answered)
                 instruments["batch_size"].observe(batch_size)
                 instruments["latency"].observe(latency)
             if self._run_logger is not None:

@@ -118,8 +118,8 @@ class FleetConfig:
     shards: int = 2
     vnodes: int = 64
     max_batch: int = 32
-    # Forward engine inside every shard worker: "eager" or "plan".
-    engine: str = "eager"
+    # Forward engine inside every shard worker: "plan" or "eager".
+    engine: str = "plan"
     cache_capacity: int = 512
     use_cache: bool = True
     nan_policy: str = "reject"

@@ -47,6 +47,7 @@ from repro.telemetry.context import (
     RequestTrace,
     TraceBuffer,
     mint_context,
+    mint_contexts,
     record_stage,
 )
 from repro.telemetry.slo import SloConfig, SloMonitor, response_ok
@@ -66,9 +67,9 @@ class ServingConfig:
 
     max_batch: int = 32
     max_delay_ms: float = 2.0
-    # Forward engine for the batched model call: "eager" (reference) or
-    # "plan" (compiled execution plans, bit-identical in float64).
-    engine: str = "eager"
+    # Forward engine for the batched model call: "plan" (compiled
+    # execution plans, bit-identical in float64) or "eager" (reference).
+    engine: str = "plan"
     queue_capacity: int = 256
     cache_capacity: int = 512
     use_cache: bool = True
@@ -280,10 +281,14 @@ class ForecastServer:
 
         Every accepted observation is tapped into the worker's history
         (driving its drift monitor), and the worker's hot-swap callable
-        is bound to :meth:`set_prototypes`.  The caller owns the
-        worker's lifecycle (``start``/``close``).
+        is bound to the model's ``set_prototypes`` (all that
+        :meth:`set_prototypes` delegates to).  Binding the server's own
+        method would close a server ↔ worker reference cycle that keeps
+        the model, and its compiled plans' arenas, alive until the
+        cyclic garbage collector runs.  The caller owns the worker's
+        lifecycle (``start``/``close``).
         """
-        worker.bind(self.set_prototypes)
+        worker.bind(self.model.set_prototypes)
         self._maintenance = worker
 
     # ------------------------------------------------------------------
@@ -356,37 +361,43 @@ class ForecastServer:
         events + SLO feed).
         """
         sessions = [self.store.session(entity_id) for entity_id in entity_ids]
-        external = contexts is not None or trace is not None
+        step = self.config.max_batch
+        chunks = [sessions[start : start + step] for start in range(0, len(sessions), step)]
         responses: list[ForecastResponse] = []
-        for start in range(0, len(sessions), self.config.max_batch):
-            chunk = sessions[start : start + self.config.max_batch]
-            if external:
+        if contexts is not None or trace is not None:
+            for chunk in chunks:
                 responses.extend(
                     self.batcher.forecast_sessions(chunk, contexts=contexts, trace=trace)
                 )
-                continue
-            if not self.config.trace and self.slo is None:
+            return responses
+        if not self.config.trace and self.slo is None:
+            for chunk in chunks:
                 responses.extend(self.batcher.forecast_sessions(chunk))
-                continue
-            chunk_contexts = None
-            spans = None
-            if self.config.trace:
-                chunk_contexts = {
-                    session.entity_id: mint_context(session.entity_id)
-                    for session in chunk
-                }
-                spans = []
+            return responses
+        # Mint every chunk's contexts before the first forward and close
+        # out every chunk after the last: the bookkeeping then runs in
+        # two tight passes instead of once after each cache-flushing
+        # forward.
+        minted = [
+            mint_contexts([session.entity_id for session in chunk])
+            if self.config.trace else None
+            for chunk in chunks
+        ]
+        served = []
+        for chunk, chunk_contexts in zip(chunks, minted):
+            spans = [] if chunk_contexts is not None else None
             started = time.perf_counter()
             chunk_responses = self.batcher.forecast_sessions(
                 chunk, contexts=chunk_contexts, trace=spans
             )
-            total = time.perf_counter() - started
+            served.append((chunk_responses, spans, time.perf_counter() - started))
             responses.extend(chunk_responses)
-            for response in chunk_responses:
-                context = (
-                    chunk_contexts.get(response.entity) if chunk_contexts else None
-                )
-                self._finish_request(context, spans, total, response.source)
+        for (chunk_responses, spans, total), chunk_contexts in zip(served, minted):
+            self._finish_requests(
+                [chunk_contexts.get(r.entity) for r in chunk_responses]
+                if chunk_contexts is not None else None,
+                spans, total, [r.source for r in chunk_responses],
+            )
         return responses
 
     def drain(self) -> int:
@@ -402,19 +413,33 @@ class ForecastServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _finish_request(
-        self, context, spans: list | None, total_seconds: float, source: str
+    def _finish_requests(
+        self,
+        contexts: list | None,
+        spans: list | None,
+        total_seconds: float,
+        sources: list[str],
     ) -> None:
-        """Close out one answered request's observability obligations:
-        record its merged trace and feed the SLO monitor."""
-        if context is not None:
-            trace = RequestTrace(context, list(spans or ()), total_seconds)
+        """Close out answered requests' observability obligations:
+        record each one's merged trace and feed the SLO monitor.
+
+        The requests share ``spans`` and ``total_seconds`` (one served
+        batch, or a single request); ``contexts`` runs parallel to
+        ``sources`` and may hold None for untraced requests.
+        """
+        if contexts is not None:
+            traced = [context for context in contexts if context is not None]
+            spans = spans or []
             if self.trace_buffer is not None:
-                self.trace_buffer.record(trace)
+                self.trace_buffer.record_batch(traced, spans, total_seconds)
             if self._run_logger is not None:
-                self._run_logger.event("serve_trace", **trace.event_payload())
+                for context in traced:
+                    trace = RequestTrace(context, list(spans), total_seconds)
+                    self._run_logger.event("serve_trace", **trace.event_payload())
         if self.slo is not None:
-            self.slo.record(total_seconds * 1e3, response_ok(source))
+            self.slo.record_many(
+                total_seconds * 1e3, [response_ok(source) for source in sources]
+            )
 
     def _reject(self, request: _QueuedRequest, queue_depth: int) -> None:
         """Admission control: answer from the fallback, never queue.
@@ -458,8 +483,8 @@ class ForecastServer:
         )
         # A shed request still burns error budget: its latency is the
         # fallback's, its outcome degraded.
-        self._finish_request(
-            None, None, time.perf_counter() - request.submitted, source
+        self._finish_requests(
+            None, None, time.perf_counter() - request.submitted, [source]
         )
 
     def _take_batch(self, wait: bool = True) -> list[_QueuedRequest]:
@@ -528,8 +553,9 @@ class ForecastServer:
                         process=self.process_name,
                     )
                     own.extend(spans or ())
-                self._finish_request(
-                    request.context, own, done - request.submitted, response.source
+                self._finish_requests(
+                    [request.context], own, done - request.submitted,
+                    [response.source],
                 )
 
     def _worker(self) -> None:

@@ -62,7 +62,7 @@ def new_id() -> str:
     return f"{_ID_SALT}{next(_ID_COUNTER) & 0xFFFFFFFF:08x}"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class RequestContext:
     """Identity of one in-flight forecast request.
 
@@ -102,7 +102,13 @@ def mint_context(entity: str = "", trace_id: str | None = None) -> RequestContex
     return RequestContext(entity=entity, trace_id=trace_id)
 
 
-@dataclasses.dataclass
+def mint_contexts(entities) -> dict[str, RequestContext]:
+    """Mint one fresh context per entity for requests served together."""
+    now = time.time()
+    return {entity: RequestContext(entity, new_id(), new_id(), now) for entity in entities}
+
+
+@dataclasses.dataclass(slots=True)
 class StageSpan:
     """One stage's share of a request: where, when, and for how long."""
 
@@ -202,29 +208,57 @@ class RequestTrace:
 
 
 class TraceBuffer:
-    """Bounded, thread-safe ring of recent :class:`RequestTrace` records."""
+    """Bounded, thread-safe ring of recent :class:`RequestTrace` records.
+
+    Requests answered by one batch share their spans and latency, so
+    :meth:`record_batch` keeps them as one entry and the
+    :class:`RequestTrace` objects are only built when :meth:`traces` is
+    read — the serving hot path allocates one tuple per batch.
+    """
 
     def __init__(self, keep: int = 256):
         if keep < 1:
             raise ValueError("keep must be at least 1")
+        self.keep = keep
         self._lock = threading.Lock()
-        self._traces: deque[RequestTrace] = deque(maxlen=keep)
+        # (contexts, spans, total_seconds) per recorded batch, oldest first.
+        self._entries: deque[tuple[list, list, float]] = deque()
+        self._size = 0  # contexts across all entries (may exceed keep)
 
     def record(self, trace: RequestTrace) -> None:
+        self.record_batch([trace.context], trace.spans, trace.total_seconds)
+
+    def record_batch(
+        self, contexts: list[RequestContext], spans: list[StageSpan], total_seconds: float
+    ) -> None:
+        """Record one trace per context, all sharing ``spans`` and latency."""
+        if not contexts:
+            return
         with self._lock:
-            self._traces.append(trace)
+            self._entries.append((contexts, spans, total_seconds))
+            self._size += len(contexts)
+            # Drop whole entries that lie entirely past the newest `keep`.
+            while self._size - len(self._entries[0][0]) >= self.keep:
+                self._size -= len(self._entries.popleft()[0])
 
     def traces(self) -> list[RequestTrace]:
         with self._lock:
-            return list(self._traces)
+            entries = list(self._entries)
+        traces = [
+            RequestTrace(context, list(spans), total)
+            for contexts, spans, total in entries
+            for context in contexts
+        ]
+        return traces[-self.keep :]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._traces)
+            return min(self._size, self.keep)
 
     def clear(self) -> None:
         with self._lock:
-            self._traces.clear()
+            self._entries.clear()
+            self._size = 0
 
 
 def format_trace(trace: RequestTrace) -> str:

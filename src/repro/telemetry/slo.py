@@ -21,13 +21,15 @@ evaluation with any objective in violation records a health *failure*
 each clean evaluation records a success, so sustained budget burn walks
 health toward DEGRADED/FAILED and recovery climbs back out.
 
-The per-request cost is one deque append under a lock; objectives are
-only evaluated every ``evaluate_every`` requests.
+Recording is O(1) under a lock — deque appends plus a running count of
+degraded responses that serves both windows — so an evaluation (every
+``evaluate_every`` requests) only has to compute the latency p99.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import threading
 from collections import deque
 
@@ -87,8 +89,10 @@ class SloMonitor:
         self._health = health
         self._lock = threading.Lock()
         self._latencies: deque[float] = deque(maxlen=self.config.window)
-        self._outcomes: deque[bool] = deque(maxlen=self.config.window)
-        self._budget: deque[bool] = deque(maxlen=self.config.budget_window)
+        # Running count of degraded responses after each recorded request
+        # (seeded with 0).  The error count of the last n requests is a
+        # difference of two entries, so both windows cost O(1) per record.
+        self._marks: deque[int] = deque([0], maxlen=self.config.budget_window + 1)
         self._since_eval = 0
         self.violations: dict[str, bool] = {name: False for name in self.OBJECTIVES}
         self.evaluations = 0
@@ -120,43 +124,48 @@ class SloMonitor:
     # ------------------------------------------------------------------
     def record(self, latency_ms: float, ok: bool) -> None:
         """Feed one answered request; evaluates every ``evaluate_every``."""
+        self.record_many(latency_ms, (ok,))
+
+    def record_many(self, latency_ms: float, oks) -> None:
+        """Feed requests that share one latency (one served batch).
+
+        Runs one evaluation per ``evaluate_every`` boundary crossed, after
+        the whole batch is recorded.
+        """
+        flags = [not ok for ok in oks]
+        every = self.config.evaluate_every
         with self._lock:
-            self._latencies.append(float(latency_ms))
-            self._outcomes.append(bool(ok))
-            self._budget.append(bool(ok))
-            self._since_eval += 1
-            if self._since_eval < self.config.evaluate_every:
-                return
-            self._since_eval = 0
-        self.evaluate()
+            self._latencies.extend([float(latency_ms)] * len(flags))
+            marks = self._marks
+            # accumulate re-emits the popped running total first.
+            marks.extend(itertools.accumulate(flags, initial=marks.pop()))
+            due, self._since_eval = divmod(self._since_eval + len(flags), every)
+        for _ in range(due):
+            self.evaluate()
 
     def record_response(self, latency_ms: float, source: str) -> None:
         """Convenience: feed a response by its provenance string."""
         self.record(latency_ms, response_ok(source))
 
     # ------------------------------------------------------------------
-    def _quantile(self, values: list[float], q: float) -> float:
-        ordered = sorted(values)
-        index = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-        return ordered[index]
-
     def snapshot(self) -> dict:
         """Current objective values (independent of evaluation cadence)."""
         with self._lock:
-            latencies = list(self._latencies)
-            outcomes = list(self._outcomes)
-            budget = list(self._budget)
-        if not latencies:
+            ordered = sorted(self._latencies)
+            marks = self._marks
+            errors = marks[-1] - marks[-1 - len(ordered)]
+            budget = len(marks) - 1
+            budget_errors = marks[-1] - marks[0]
+        samples = len(ordered)
+        if not samples:
             return {"samples": 0}
-        errors = sum(1 for ok in outcomes if not ok)
-        budget_errors = sum(1 for ok in budget if not ok)
+        q = self.config.latency_quantile
+        index = min(samples - 1, max(0, int(q * samples + 0.5) - 1))
         return {
-            "samples": len(latencies),
-            "latency_p99_ms": self._quantile(latencies, self.config.latency_quantile),
-            "error_rate": errors / len(outcomes),
-            "budget_burn_rate": (
-                budget_errors / len(budget) / self.config.error_rate
-            ),
+            "samples": samples,
+            "latency_p99_ms": ordered[index],
+            "error_rate": errors / samples,
+            "budget_burn_rate": budget_errors / budget / self.config.error_rate,
         }
 
     def evaluate(self) -> dict[str, bool]:

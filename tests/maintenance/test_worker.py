@@ -285,6 +285,23 @@ class TestRollbackWatch:
         np.testing.assert_array_equal(model.prototype_values(), near_identical)
 
 
+class TestTick:
+    def test_tick_runs_the_settled_job_inline(self, rng):
+        # Baseline-regime feed so no drift alarm pre-empts the request.
+        worker = make_worker(settle_rows=40, mode="full")
+        feed(worker, regime_rows(rng, 100))
+        assert worker.tick() is None  # nothing pending
+        worker.request_maintenance("drift onset")
+        assert worker.tick() is None  # still settling
+        assert worker.stats()["jobs_started"] == 0
+        feed(worker, regime_rows(rng, 40))
+        result = worker.tick()
+        assert result["status"] in ("swapped", "rejected")
+        assert worker.stats()["jobs_started"] == 1
+        assert worker.join_idle(timeout=0.0)  # nothing pending or in flight
+        assert worker.tick() is None
+
+
 class TestBackgroundLoop:
     def test_background_job_runs_and_loop_survives(self, rng):
         worker = make_worker(mode="full")

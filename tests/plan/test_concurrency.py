@@ -12,6 +12,7 @@ CI runs this file twice under ``PYTHONHASHSEED=0`` (see the ``plan``
 job) to shake out ordering flakes.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -63,6 +64,49 @@ def test_threaded_replays_match_single_threaded_oracle():
     for thread in threads:
         thread.join()
     assert not failures, f"threads {sorted(set(failures))} saw torn replays"
+
+
+def test_prototype_swaps_during_threaded_replay_leave_no_stale_arena():
+    """Each thread's arena caches prototype statistics; swaps landing
+    mid-replay must never leave a thread serving the old bank after."""
+    model = build_plan_model()
+    windows = make_windows(model, 3, seed=11)
+    model.forecast_batch(windows, engine="plan")
+    rng = np.random.default_rng(5)
+    swapping = threading.Event()
+    swapping.set()
+    final = {}
+
+    def replay(tid):
+        while swapping.is_set():
+            model.forecast_batch(windows, engine="plan")
+        final[tid] = model.forecast_batch(windows, engine="plan")
+
+    threads = [threading.Thread(target=replay, args=(tid,)) for tid in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        cfg = model.config
+        for step in range(30):
+            if step % 2:
+                model.update_prototype(step % cfg.num_prototypes,
+                                       rng.standard_normal(cfg.segment_length))
+            else:
+                model.set_prototypes(
+                    rng.standard_normal((cfg.num_prototypes, cfg.segment_length))
+                )
+    finally:
+        swapping.clear()
+        sys.setswitchinterval(interval)
+        for thread in threads:
+            thread.join(timeout=30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    eager = model.forecast_batch(windows, engine="eager")
+    assert sorted(final) == [0, 1, 2, 3]
+    for tid, forecast in final.items():
+        assert np.array_equal(forecast, eager), f"thread {tid} replayed a stale bank"
 
 
 def test_each_thread_gets_its_own_arena():

@@ -189,8 +189,8 @@ def test_fuzz_traced_programs_bitwise(name, rows, cols, seed, poison):
 
 
 def test_constant_folding_reports_folded_ops():
-    """Input-independent subgraphs fold; the model folds its prototype
-    projections (the ``_query_cache`` replacement)."""
+    """Input-independent subgraphs fold (the model's weight transposes);
+    the prototype query projections replay live instead."""
     model = build_plan_model()
     model.forecast_batch(make_windows(model, 1), engine="plan")
     stats = model.plan_stats()

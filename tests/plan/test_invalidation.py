@@ -1,12 +1,15 @@
 """Plan invalidation: no sanctioned mutation can serve a stale replay.
 
-Plans are keyed by ``(input shape, dtype, prototype version)`` and the
-version bumps on every sanctioned mutation, so a stale plan can never
-*match* again — it is also actively evicted.  The property test drives
-random mutation sequences and re-checks bit-equivalence after each
-step; the structural tests pin the cache mechanics and the capture
-layer's rejection of data-dependent leaves (the failure mode that would
-otherwise allow silent staleness).
+Plans are keyed by ``(input shape, dtype)`` and read the prototype
+buffers live: ``set_prototypes`` / ``update_prototype`` write those
+buffers in place, and ProtoAttn recomputes its query projection and
+re-derives its cached prototype statistics (keyed on a generation that
+every mutation bumps) at replay time.  A swap therefore reuses the same
+plan objects with zero retraces, and only ``to_dtype`` evicts.  The
+property test drives random mutation sequences and re-checks
+bit-equivalence after each step; the structural tests pin the cache
+mechanics and the capture layer's rejection of data-dependent leaves
+(the failure mode that would otherwise allow silent staleness).
 """
 
 import numpy as np
@@ -62,7 +65,7 @@ def test_any_prototype_mutation_retraces_before_next_replay(ops, seed):
             assert not np.array_equal(plan, stale)
 
 
-def test_set_prototypes_invalidates_cached_plan(model_factory=build_plan_model):
+def test_set_prototypes_reuses_cached_plan(model_factory=build_plan_model):
     model = model_factory()
     windows = make_windows(model, 1, seed=0)
     model.forecast_batch(windows, engine="plan")
@@ -70,11 +73,10 @@ def test_set_prototypes_invalidates_cached_plan(model_factory=build_plan_model):
     model.set_prototypes(np.random.default_rng(5).standard_normal(
         (model.config.num_prototypes, model.config.segment_length)
     ))
-    assert model._last_plan is None and not model._plans
-    model.forecast_batch(windows, engine="plan")
-    second = model._last_plan
-    assert second[1] is not first[1]
-    assert second[0][2] == first[0][2] + 1  # version advanced in the key
+    plan = model.forecast_batch(windows, engine="plan")
+    assert model._last_plan[1] is first[1]  # no retrace
+    assert list(model._plans) == [first[0]]
+    assert np.array_equal(plan, model.forecast_batch(windows, engine="eager"))
 
 
 def test_dtype_switch_retraces():
@@ -90,15 +92,19 @@ def test_dtype_switch_retraces():
     assert f64.dtype == f32.dtype == np.float64  # forecast contract
 
 
-def test_stale_version_plans_are_evicted():
+def test_prototype_updates_keep_every_plan():
     model = build_plan_model()
-    for batch in (1, 2, 3):
-        model.forecast_batch(make_windows(model, batch), engine="plan")
-    assert len(model._plans) == 3
+    batches = {batch: make_windows(model, batch, seed=batch) for batch in (1, 2, 4)}
+    for windows in batches.values():
+        model.forecast_batch(windows, engine="plan")
+    plans = dict(model._plans)
+    assert len(plans) == 3
     model.update_prototype(0, np.zeros(model.config.segment_length))
-    model.forecast_batch(make_windows(model, 1), engine="plan")
-    versions = {key[2] for key in model._plans}
-    assert len(model._plans) == 1 and versions == {model._prototype_version}
+    model.set_prototypes(model.prototype_values()[::-1])
+    for windows in batches.values():
+        eager = model.forecast_batch(windows, engine="eager")
+        assert np.array_equal(model.forecast_batch(windows, engine="plan"), eager)
+    assert model._plans == plans  # same keys, same plan objects
 
 
 def test_plan_cache_is_bounded():

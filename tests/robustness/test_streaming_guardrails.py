@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FOCUSConfig, FOCUSForecaster
-from repro.core.streaming import StreamingFOCUS
+from repro.core.streaming import ObservationRing, StreamingFOCUS
 from repro.robustness import (
     ChaosError,
     ChaosModel,
@@ -81,6 +81,24 @@ class TestNanPolicies:
         block = rng.standard_normal((5, 3))
         clean, imputed, rejected = apply_nan_policy(block, "impute_last")
         assert clean is block and imputed == 0 and rejected == 0
+
+    def test_ring_reads_last_row_only_to_impute(self, rng, monkeypatch):
+        ring = ObservationRing(LOOKBACK, ENTITIES, nan_policy="impute_last")
+        ring.observe(np.array([1.0, 2.0, 3.0]))
+        reads = []
+        original = ObservationRing.last_written_row
+
+        def counted(self):
+            reads.append(self.version)
+            return original(self)
+
+        monkeypatch.setattr(ObservationRing, "last_written_row", counted)
+        ring.observe_many(rng.standard_normal((4, ENTITIES)))
+        assert reads == []  # all-finite fast path: no row copy
+        ring.observe(np.array([np.nan, 5.0, 6.0]))
+        assert reads == [5]
+        window = ring.window()
+        assert window[-1].tolist() == [window[-2, 0], 5.0, 6.0]  # forward-filled
 
 
 class TestHealthMonitor:

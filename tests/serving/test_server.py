@@ -320,8 +320,8 @@ def test_cache_not_poisoned_by_concurrent_prototype_update(model, rng):
     warm(server, ["a"], rng)
     original = model.forecast_batch
 
-    def racing_forward(windows):
-        predictions = original(windows)
+    def racing_forward(windows, engine="eager"):
+        predictions = original(windows, engine=engine)
         # lands between execute()'s version snapshot and cache.put
         model.update_prototype(0, model.prototype_values()[0] * 1.001)
         return predictions

@@ -127,6 +127,21 @@ class TestTraceBuffer:
         assert len(buffer) == 3
         assert [t.total_seconds for t in buffer.traces()] == [3.0, 4.0, 5.0]
 
+    def test_batches_share_spans_and_trim_to_keep(self):
+        buffer = TraceBuffer(keep=5)
+        spans = [StageSpan("forward", 0.5)]
+        for batch in range(4):
+            contexts = [mint_context(f"e{batch}-{i}") for i in range(3)]
+            buffer.record_batch(contexts, spans, float(batch))
+        buffer.record_batch([], spans, 9.0)  # nothing traced: no entry
+        traces = buffer.traces()
+        assert len(buffer) == len(traces) == 5
+        assert [t.context.entity for t in traces] == [
+            "e2-1", "e2-2", "e3-0", "e3-1", "e3-2"
+        ]
+        assert [t.total_seconds for t in traces] == [2.0, 2.0, 3.0, 3.0, 3.0]
+        assert traces[0].spans == spans and traces[0].spans is not spans
+
     def test_keep_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             TraceBuffer(keep=0)

@@ -1,5 +1,7 @@
 """Tests for rolling-window SLO tracking and its health wiring."""
 
+import random
+
 import pytest
 
 from repro.telemetry import (
@@ -149,6 +151,36 @@ class TestCadence:
         assert state["latency_p99_ms"] == 40.0
         assert state["error_rate"] == pytest.approx(0.2)
         assert state["budget_burn_rate"] == pytest.approx(1.0)
+
+    def test_running_error_counts_match_the_windows(self):
+        """Running sums and the sorted latency window stay exact as both
+        windows evict, for single records and batches larger than a window."""
+        config = fast_config(window=8, budget_window=32, evaluate_every=5,
+                             latency_quantile=0.8)
+        monitor = SloMonitor(config)
+        rng = random.Random(7)
+        outcomes, latencies = [], []
+        for _ in range(60):
+            batch = [rng.random() < 0.7 for _ in range(rng.choice((1, 3, 9, 40)))]
+            latency = float(rng.randrange(20))  # ties included
+            if len(batch) == 1:
+                monitor.record(latency, ok=batch[0])
+            else:
+                monitor.record_many(latency, batch)
+            outcomes += batch
+            latencies += [latency] * len(batch)
+            window = outcomes[-config.window:]
+            budget = outcomes[-config.budget_window:]
+            ordered = sorted(latencies[-config.window:])
+            state = monitor.snapshot()
+            assert state["samples"] == len(window)
+            assert state["latency_p99_ms"] == ordered[int(0.8 * len(ordered) + 0.5) - 1]
+            assert state["error_rate"] == window.count(False) / len(window)
+            assert state["budget_burn_rate"] == (
+                budget.count(False) / len(budget) / config.error_rate
+            )
+        # One evaluation per evaluate_every boundary crossed.
+        assert monitor.evaluations == len(outcomes) // config.evaluate_every
 
 
 class TestInstruments:
