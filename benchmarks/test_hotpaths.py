@@ -173,7 +173,7 @@ def test_report_is_json_serializable():
 
     report = run_benchmarks(quick=True)
     encoded = json.loads(json.dumps(report))
-    assert encoded["schema"] == 8
+    assert encoded["schema"] == 9
     assert set(encoded) == {
         "schema",
         "mode",
@@ -189,6 +189,7 @@ def test_report_is_json_serializable():
         "plan_engine",
     }
     assert np.isfinite(encoded["clustering_fit"]["max_abs_diff"])
+    assert encoded["clustering_fit"]["phase_sweep"]["bitwise"] is True
     assert encoded["serving"]["speedup_batch32"] > 0
     assert encoded["fleet"]["consistent_response_counts"] is True
     assert encoded["fleet"]["gate"] == FLEET_SCALING_GATE

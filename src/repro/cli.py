@@ -278,6 +278,12 @@ def _cmd_bench(args) -> int:
         f"loop {clustering['loop_s']:.3f}s  ({clustering['speedup']:.2f}x, "
         f"max|diff| {clustering['max_abs_diff']:.2e})"
     )
+    sweep = clustering["phase_sweep"]
+    print(
+        f"  phase sweep    : fit_many {sweep['batched_s']:.3f}s vs "
+        f"{sweep['config']['sets']} x fit {sweep['sequential_s']:.3f}s  "
+        f"({sweep['speedup']:.2f}x, bitwise {sweep['bitwise']})"
+    )
     print(
         f"  protoattn fwd  : cached {attn['cached_ms']:.3f}ms vs "
         f"uncached {attn['uncached_ms']:.3f}ms  ({attn['speedup']:.2f}x)"
@@ -344,6 +350,9 @@ def _cmd_bench(args) -> int:
     failed = False
     if not clustering["equivalent_1e8"]:
         print("WARNING: vectorized and loop prototypes diverge beyond 1e-8")
+        failed = True
+    if not sweep["bitwise"]:
+        print("WARNING: fit_many banks differ from per-set fit")
         failed = True
     if not serving["meets_1_5x"]:
         print(

@@ -14,6 +14,12 @@ Eq. (10):
 
 The ``use_correlation=False`` switch realizes the paper's *Rec Only*
 ablation (Fig. 8): plain Euclidean k-means-style clustering.
+
+:meth:`SegmentClusterer.fit_many` runs Algorithm 1 on several
+independent segment sets at once (the maintenance worker's per-phase
+refit sweep); :meth:`SegmentClusterer.fit` is its one-set case, so there
+is a single fit loop.  Each bank of a batched fit is bit-identical to
+fitting its set alone.
 """
 
 from __future__ import annotations
@@ -29,34 +35,94 @@ from repro.data.segments import segment_series
 from repro.optim import AdamW
 
 
+def bucket_sums(labels: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Sum of ``rows`` per bucket ``labels``, shape ``(k,) + rows.shape[1:]``.
+
+    Equal bit for bit to ``np.add.at`` into zeros of ``rows.dtype``:
+    ``np.bincount`` adds each bucket's entries in row order, as
+    ``np.add.at`` does, only faster.  ``bincount`` accumulates in float64,
+    so other dtypes keep ``np.add.at``.
+    """
+    rows = np.asarray(rows)
+    out_shape = (k,) + rows.shape[1:]
+    if rows.dtype != np.float64:
+        sums = np.zeros(out_shape, dtype=rows.dtype)
+        np.add.at(sums, labels, rows)
+        return sums
+    width = int(np.prod(rows.shape[1:]))
+    index = (np.asarray(labels)[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(
+        index, weights=rows.reshape(-1), minlength=k * width
+    ).reshape(out_shape)
+
+
+def _centre(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-centred segments and their ``(n, 1)`` L2 norms."""
+    centred = segments - segments.mean(axis=1, keepdims=True)
+    return centred, np.linalg.norm(centred, axis=1, keepdims=True)
+
+
+def _pearson(centred: np.ndarray, norms: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    pro, pro_norm = _centre(prototypes)
+    denom = norms @ pro_norm.T
+    numer = centred @ pro.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(denom > 1e-12, numer / np.maximum(denom, 1e-12), 0.0)
+    return np.clip(corr, -1.0, 1.0)
+
+
 def pearson_rows(segments: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlation of ``(n, p)`` rows vs ``(k, p)`` rows.
 
     Zero-variance rows get correlation 0 against everything (a flat
     segment is shape-neutral).
     """
-    seg = segments - segments.mean(axis=1, keepdims=True)
-    pro = prototypes - prototypes.mean(axis=1, keepdims=True)
-    seg_norm = np.linalg.norm(seg, axis=1, keepdims=True)
-    pro_norm = np.linalg.norm(pro, axis=1, keepdims=True)
-    denom = seg_norm @ pro_norm.T
-    numer = seg @ pro.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > 1e-12, numer / np.maximum(denom, 1e-12), 0.0)
-    return np.clip(corr, -1.0, 1.0)
+    return _pearson(*_centre(segments), prototypes)
+
+
+class _SegmentTerms:
+    """The segment side of Eq. (13) for one fixed ``(n, p)`` segment set.
+
+    A fit scores the same segments against a moving bank on every
+    iteration.  The squared norms, centred rows and their norms depend
+    on the segments alone, so they are computed once (the centred terms
+    on first use) and every distance stays bit-identical to
+    :func:`composite_distance`.  Unit rows are derived on demand rather
+    than kept: a batched fit holds every set's terms at once, and one
+    more ``(n, p)`` array per set showed up in the worker's peak RSS.
+    """
+
+    def __init__(self, segments: np.ndarray):
+        self.segments = segments
+        self.sq = (segments**2).sum(axis=1, keepdims=True)
+        self._centred: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def centred(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._centred is None:
+            self._centred = _centre(self.segments)
+        return self._centred
+
+    def unit(self) -> np.ndarray:
+        """Centred rows scaled to unit norm (flat rows stay zero)."""
+        centred, norms = self.centred
+        return centred / np.where(norms < 1e-12, 1.0, norms)
+
+    def distance(self, prototypes: np.ndarray, alpha: float) -> np.ndarray:
+        """Eq. (13) of every segment vs every prototype, ``(n, k)``."""
+        pro_sq = (prototypes**2).sum(axis=1)
+        euclidean_sq = self.sq + pro_sq[None, :] - 2.0 * self.segments @ prototypes.T
+        euclidean_sq = np.maximum(euclidean_sq, 0.0)
+        if alpha == 0.0:
+            return euclidean_sq
+        return euclidean_sq + alpha * (1.0 - _pearson(*self.centred, prototypes))
 
 
 def composite_distance(
     segments: np.ndarray, prototypes: np.ndarray, alpha: float
 ) -> np.ndarray:
     """Eq. (13): squared Euclidean plus ``alpha * (1 - Pearson)``, ``(n, k)``."""
-    seg_sq = (segments**2).sum(axis=1, keepdims=True)
-    pro_sq = (prototypes**2).sum(axis=1)
-    euclidean_sq = seg_sq + pro_sq[None, :] - 2.0 * segments @ prototypes.T
-    euclidean_sq = np.maximum(euclidean_sq, 0.0)
-    if alpha == 0.0:
-        return euclidean_sq
-    return euclidean_sq + alpha * (1.0 - pearson_rows(segments, prototypes))
+    return _SegmentTerms(segments).distance(prototypes, alpha)
 
 
 def _pearson_tensor(segments: np.ndarray, prototype: Tensor) -> Tensor:
@@ -77,9 +143,10 @@ class ClusteringConfig:
     ``alpha=0.2`` is the paper's setting (Sec. VIII-A);
     ``use_correlation=False`` gives the *Rec Only* ablation.
     ``refine_impl`` selects the prototype-refinement kernel:
-    ``"vectorized"`` (default) optimizes one batched ``(k, p)`` tensor,
-    ``"loop"`` keeps the original one-Tensor-per-prototype reference
-    implementation for equivalence testing and benchmarking.
+    ``"vectorized"`` (default) optimizes every bank being fitted as one
+    batched parameter tensor, ``"loop"`` keeps the original
+    one-Tensor-per-prototype reference implementation (bank by bank) for
+    equivalence testing and benchmarking.
     """
 
     num_prototypes: int = 8
@@ -99,10 +166,34 @@ class ClusteringConfig:
             raise ValueError(
                 f"refine_impl must be 'vectorized' or 'loop', got {self.refine_impl!r}"
             )
+        if self.num_prototypes < 1:
+            raise ValueError(f"num_prototypes must be >= 1, got {self.num_prototypes}")
+        if self.max_iters < 0 or self.refine_steps < 0:
+            raise ValueError(
+                "max_iters and refine_steps must be >= 0, got "
+                f"{self.max_iters} and {self.refine_steps}"
+            )
+        if self.tol < 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
     @property
     def effective_alpha(self) -> float:
         return self.alpha if self.use_correlation else 0.0
+
+
+@dataclasses.dataclass
+class _Bank:
+    """Fit state of one segment set inside :meth:`SegmentClusterer.fit_many`."""
+
+    terms: _SegmentTerms
+    rng: np.random.Generator
+    prototypes: np.ndarray
+    labels: np.ndarray | None = None
+    previous_labels: np.ndarray | None = None
+    loss_history: list[float] = dataclasses.field(default_factory=list)
+    n_iter: int = 0
 
 
 class SegmentClusterer:
@@ -115,6 +206,8 @@ class SegmentClusterer:
         clusterer.fit(train_data)           # (T, N) or (n_segments, p)
         labels = clusterer.assign(segments) # nearest-prototype indices
         prototypes = clusterer.prototypes_  # (k, p)
+
+        banks = clusterer.fit_many([set_a, set_b])  # one bank per set
     """
 
     def __init__(self, config: ClusteringConfig | None = None, **kwargs):
@@ -126,6 +219,9 @@ class SegmentClusterer:
         self.prototypes_: np.ndarray | None = None
         self.loss_history_: list[float] = []
         self.n_iter_: int = 0
+        # Per-set results of the last fit_many call.
+        self.loss_histories_: list[list[float]] = []
+        self.n_iters_: list[int] = []
 
     # ------------------------------------------------------------------
     # Fitting
@@ -137,16 +233,17 @@ class SegmentClusterer:
             return data
         return segment_series(data, p)
 
-    def _init_prototypes(self, segments: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _init_prototypes(self, terms: _SegmentTerms, rng: np.random.Generator) -> np.ndarray:
         """k-means++-style seeding under the composite distance."""
         k = self.config.num_prototypes
+        segments = terms.segments
         n = segments.shape[0]
         if n < k:
             raise ValueError(f"need at least k={k} segments, got {n}")
         alpha = self.config.effective_alpha
         chosen = [int(rng.integers(n))]
         for _ in range(k - 1):
-            dists = composite_distance(segments, segments[chosen], alpha).min(axis=1)
+            dists = terms.distance(segments[chosen], alpha).min(axis=1)
             dists = np.maximum(dists, 0.0)
             total = dists.sum()
             if total <= 0.0:
@@ -157,50 +254,89 @@ class SegmentClusterer:
 
     def fit(self, data: np.ndarray) -> "SegmentClusterer":
         """Run Algorithm 1 until assignment stability or ``max_iters``."""
-        cfg = self.config
-        segments = self._as_segments(data)
-        rng = np.random.default_rng(cfg.seed)
-        prototypes = self._init_prototypes(segments, rng)
-        previous_labels: np.ndarray | None = None
-        self.loss_history_ = []
-
-        for iteration in range(cfg.max_iters):
-            labels = composite_distance(segments, prototypes, cfg.effective_alpha).argmin(axis=1)
-            self._fix_empty_buckets(labels, segments, prototypes, rng)
-            prototypes, loss = self._refine_prototypes(segments, labels, prototypes)
-            self.loss_history_.append(loss)
-            self.n_iter_ = iteration + 1
-            if previous_labels is not None and np.array_equal(labels, previous_labels):
-                if (
-                    len(self.loss_history_) >= 2
-                    and abs(self.loss_history_[-2] - loss) < cfg.tol
-                ):
-                    break
-            previous_labels = labels
-
-        self.prototypes_ = prototypes
+        (self.prototypes_,) = self.fit_many([data])
+        self.loss_history_ = self.loss_histories_[0]
+        self.n_iter_ = self.n_iters_[0]
         return self
+
+    def fit_many(self, segment_sets: list[np.ndarray]) -> list[np.ndarray]:
+        """Run Algorithm 1 on each set independently; one ``(k, p)`` bank per set.
+
+        Assignment and empty-bucket repair run bank by bank, each bank
+        with its own ``seed``-initialised rng, on segment terms computed
+        once per set.  Refinement runs once per iteration for all banks
+        still fitting (see :meth:`_refine_batched`).  A bank that meets
+        the stopping rule leaves the batch; the others go on.  Every bank
+        is bit-identical to ``fit`` on its set alone.  Per-set loss
+        histories and iteration counts land in ``loss_histories_`` and
+        ``n_iters_``; ``prototypes_`` is left as it was.
+        """
+        cfg = self.config
+        alpha = cfg.effective_alpha
+        banks = []
+        for data in segment_sets:
+            terms = _SegmentTerms(self._as_segments(data))
+            rng = np.random.default_rng(cfg.seed)
+            banks.append(_Bank(terms, rng, self._init_prototypes(terms, rng)))
+
+        active = banks
+        for iteration in range(cfg.max_iters):
+            if not active:
+                break
+            for bank in active:
+                distances = bank.terms.distance(bank.prototypes, alpha)
+                bank.labels = distances.argmin(axis=1)
+                self._fix_empty_buckets(
+                    bank.labels, distances, bank.terms, bank.prototypes, bank.rng
+                )
+            refined, losses = self._refine_banks(active)
+            still_fitting = []
+            for bank, prototypes, loss in zip(active, refined, losses):
+                bank.prototypes = prototypes
+                bank.loss_history.append(loss)
+                bank.n_iter = iteration + 1
+                if not self._converged(bank):
+                    bank.previous_labels = bank.labels
+                    still_fitting.append(bank)
+            active = still_fitting
+
+        self.loss_histories_ = [bank.loss_history for bank in banks]
+        self.n_iters_ = [bank.n_iter for bank in banks]
+        return [bank.prototypes for bank in banks]
+
+    def _converged(self, bank: _Bank) -> bool:
+        """Labels unchanged since the last iteration and loss within ``tol``."""
+        history = bank.loss_history
+        return (
+            bank.previous_labels is not None
+            and np.array_equal(bank.labels, bank.previous_labels)
+            and len(history) >= 2
+            and abs(history[-2] - history[-1]) < self.config.tol
+        )
 
     def _fix_empty_buckets(
         self,
         labels: np.ndarray,
-        segments: np.ndarray,
+        distances: np.ndarray,
+        terms: _SegmentTerms,
         prototypes: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        """Re-seed any empty prototype at the segment farthest from its own."""
+        """Re-seed any empty prototype at the segment farthest from its own.
+
+        ``distances`` is the ``(n, k)`` matrix ``labels`` was taken from.
+        """
         cfg = self.config
         counts = np.bincount(labels, minlength=cfg.num_prototypes)
         empty = np.where(counts == 0)[0]
         if not len(empty):
             return
-        # One full (n, k) distance computation; re-seeding prototype j only
-        # changes the own-prototype distance of the segment moved into
-        # bucket j (nothing was assigned to j before), so the remaining
-        # entries stay valid and are patched incrementally.
-        own = composite_distance(segments, prototypes, cfg.effective_alpha)[
-            np.arange(len(labels)), labels
-        ]
+        # Re-seeding prototype j only changes the own-prototype distance
+        # of the segment moved into bucket j (nothing was assigned to j
+        # before), so the remaining entries stay valid and are patched
+        # incrementally.
+        segments = terms.segments
+        own = distances[np.arange(len(labels)), labels]
         for j in empty:
             worst = int(own.argmax())
             prototypes[j] = segments[worst] + 1e-6 * rng.standard_normal(
@@ -211,71 +347,90 @@ class SegmentClusterer:
                 segments[worst : worst + 1], prototypes[j : j + 1], cfg.effective_alpha
             )[0, 0]
 
-    def _refine_prototypes(
-        self, segments: np.ndarray, labels: np.ndarray, prototypes: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Gradient refinement of Eq. (10) with AdamW (paper Sec. V)."""
-        if self.config.refine_impl == "loop":
-            return self._refine_prototypes_loop(segments, labels, prototypes)
-        return self._refine_prototypes_vectorized(segments, labels, prototypes)
+    def _refine_banks(self, banks: list[_Bank]) -> tuple[list[np.ndarray], list[float]]:
+        """Gradient refinement of Eq. (10) with AdamW (paper Sec. V).
 
-    def _refine_prototypes_vectorized(
-        self, segments: np.ndarray, labels: np.ndarray, prototypes: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Batched refinement: one ``(k, p)`` parameter tensor.
+        ``"loop"`` refines bank by bank through the reference kernel.
+        """
+        if self.config.refine_impl == "loop":
+            refined = [
+                self._refine_prototypes_loop(bank.terms.segments, bank.labels, bank.prototypes)
+                for bank in banks
+            ]
+            return [prototypes for prototypes, _ in refined], [loss for _, loss in refined]
+        return self._refine_batched(
+            [bank.prototypes for bank in banks],
+            [self._bucket_targets(bank.terms, bank.labels, bank.prototypes) for bank in banks],
+        )
+
+    def _bucket_targets(
+        self, terms: _SegmentTerms, labels: np.ndarray, prototypes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Per-bucket means, mean unit rows and occupancy of one bank.
 
         The Pearson term of Eq. (10) is linear in the (fixed) segments, so
         each bucket's mean correlation collapses to a dot product between
-        the prototype and the precomputed mean of the bucket's unit-
-        normalized centered segments — O(n·p) setup once per call instead
-        of per optimizer step, and a graph of ~10 batched ops instead of
-        O(k) small ones.  AdamW updates are elementwise, so the trajectory
-        matches the per-prototype reference implementation.
+        the prototype and the mean of the bucket's unit-normalized centred
+        segments, computed here once per refinement call.
         """
         cfg = self.config
         k = cfg.num_prototypes
-        params = Tensor(prototypes.copy(), requires_grad=True)  # (k, p)
-        optimizer = AdamW([params], lr=cfg.lr, weight_decay=cfg.weight_decay)
-
+        segments = terms.segments
         counts = np.bincount(labels, minlength=k).astype(segments.dtype)
         occupied = counts > 0
-        sums = np.zeros_like(prototypes)
-        np.add.at(sums, labels, segments)
+        divisor = np.maximum(counts, 1.0)[:, None]
         # Empty buckets are anchored to their incoming prototype (the
         # reconstruction term then has zero initial gradient), exactly as
         # the reference implementation does.
-        means = Tensor(
-            np.where(
-                occupied[:, None], sums / np.maximum(counts, 1.0)[:, None], prototypes
-            )
+        means = np.where(
+            occupied[:, None], bucket_sums(labels, segments, k) / divisor, prototypes
         )
+        unit_means = (
+            bucket_sums(labels, terms.unit(), k) / divisor if cfg.use_correlation else None
+        )
+        return means, unit_means, occupied
 
-        use_corr = cfg.use_correlation and bool(occupied.any())
-        if use_corr:
-            seg = segments - segments.mean(axis=1, keepdims=True)
-            seg_norm = np.linalg.norm(seg, axis=1)
-            seg_norm = np.where(seg_norm < 1e-12, 1.0, seg_norm)
-            unit = seg / seg_norm[:, None]
-            unit_mean = np.zeros_like(prototypes)
-            np.add.at(unit_mean, labels, unit)
-            unit_mean /= np.maximum(counts, 1.0)[:, None]
-            unit_mean = Tensor(unit_mean)
-            corr_mask = Tensor(occupied.astype(segments.dtype))
+    def _refine_batched(
+        self, prototypes: list[np.ndarray], targets: list[tuple]
+    ) -> tuple[list[np.ndarray], list[float]]:
+        """AdamW on all banks at once: one ``(B·k, p)`` parameter tensor.
 
-        final_loss = 0.0
+        Every op is row-wise over ``p`` or elementwise, and each bank's
+        loss is summed over its own block, so batching changes no bank's
+        gradients, loss or AdamW trajectory: each bank is bit-identical
+        to refining it alone.  One small autograd graph per step serves
+        all ``B`` banks instead of one graph per bank.
+        """
+        cfg = self.config
+        num_banks, k = len(prototypes), cfg.num_prototypes
+        params = Tensor(np.concatenate(prototypes), requires_grad=True)
+        means = Tensor(np.concatenate([means for means, _, _ in targets]))
+        optimizer = AdamW([params], lr=cfg.lr, weight_decay=cfg.weight_decay)
+        if cfg.use_correlation:
+            unit_means = Tensor(np.concatenate([unit for _, unit, _ in targets]))
+            corr_mask = Tensor(
+                np.concatenate([occupied for _, _, occupied in targets]).astype(
+                    params.data.dtype
+                )
+            )
+        seed = np.ones(num_banks, dtype=params.data.dtype)
+
+        losses = np.zeros(num_banks)
         for _ in range(cfg.refine_steps):
             diff = params - means
-            loss = (diff * diff).sum()
-            if use_corr:
+            loss = (diff * diff).reshape(num_banks, -1).sum(axis=1)
+            if cfg.use_correlation:
                 centered = params - params.mean(axis=1, keepdims=True)
                 norm = ag.sqrt((centered * centered).sum(axis=1) + 1e-12)
-                corr = (unit_mean * centered).sum(axis=1) / norm  # (k,)
-                loss = loss + (corr * corr_mask).sum() * (-cfg.alpha)
+                corr = (unit_means * centered).sum(axis=1) / norm  # (B·k,)
+                corr_sum = (corr * corr_mask).reshape(num_banks, k).sum(axis=1)
+                loss = loss + corr_sum * (-cfg.alpha)
             optimizer.zero_grad()
-            loss.backward()
+            loss.backward(seed)
             optimizer.step()
-            final_loss = loss.item()
-        return params.data.copy(), final_loss
+            losses = loss.data
+        refined = params.data.reshape(num_banks, k, -1)
+        return [bank.copy() for bank in refined], [float(value) for value in losses]
 
     def _refine_prototypes_loop(
         self, segments: np.ndarray, labels: np.ndarray, prototypes: np.ndarray

@@ -26,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.clustering import composite_distance
+from repro.core.clustering import bucket_sums, composite_distance
 from repro.core.model import FOCUSForecaster
 from repro.data.segments import segment_series
 
@@ -242,9 +242,9 @@ def bank_statistics(
     nearest = distances[np.arange(len(segments)), labels]
     k = prototypes.shape[0]
     counts = np.bincount(labels, minlength=k)
-    dispersion = np.zeros(k)
-    np.add.at(dispersion, labels, nearest)
-    dispersion /= np.maximum(counts, 1)
+    dispersion = bucket_sums(
+        labels, np.asarray(nearest, dtype=np.float64), k
+    ) / np.maximum(counts, 1)
     return {
         "labels": labels,
         "counts": counts,
@@ -349,8 +349,9 @@ def incremental_repair(
         info["split"] = split_at
         info["merged"] = (a, b)
     else:
-        sums = np.zeros_like(candidate)
-        np.add.at(sums, stats["labels"], segments)
+        sums = bucket_sums(
+            stats["labels"], np.asarray(segments, dtype=np.float64), k
+        )
         means = sums / np.maximum(counts, 1)[:, None]
         candidate[occupied] += nudge * (means[occupied] - candidate[occupied])
         info["nudged"] = int(occupied.sum())

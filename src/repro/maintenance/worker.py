@@ -734,20 +734,29 @@ class MaintenanceWorker:
                 # one with the best held-out shadow score.  Inertia is
                 # blind to phase (misphased hybrids cluster tightly on
                 # cyclic data), so the selection must run on the holdout.
+                # All phases are fitted in one batched pass; without a
+                # scorer only the first eligible phase is needed.
                 scorer = (
                     ShadowScorer(snapshot, self.config.shadow_metric)
                     if snapshot is not None and inputs
                     else None
                 )
+                eligible = [
+                    (offset, chopped)
+                    for offset, chopped in sweep
+                    if len(chopped) >= self.model.config.num_prototypes
+                ]
+                if scorer is None:
+                    eligible = eligible[:1]
+                banks = []
+                if eligible and not (holder["abandoned"] or self._stop.is_set()):
+                    banks = SegmentClusterer(self._clustering).fit_many(
+                        [chopped for _, chopped in eligible]
+                    )
                 candidate, best = None, math.inf
-                for offset, chopped in sweep:
-                    if len(chopped) < self.model.config.num_prototypes:
-                        continue
+                for (offset, _), fitted in zip(eligible, banks):
                     if holder["abandoned"] or self._stop.is_set():
                         break
-                    clusterer = SegmentClusterer(self._clustering)
-                    clusterer.fit(chopped)
-                    fitted = clusterer.prototypes_
                     if scorer is None:
                         candidate = fitted
                         holder["phase"] = offset

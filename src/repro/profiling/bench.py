@@ -5,7 +5,11 @@ so every future change has a performance trajectory to compare against:
 
 1. **Offline clustering fit** — the vectorized ``(k, p)`` prototype
    refinement against the per-prototype loop reference implementation
-   (equivalence is asserted, not assumed: the two must agree to 1e-8).
+   (equivalence is asserted, not assumed: the two must agree to 1e-8),
+   plus (schema 9) the ``phase_sweep`` row: a maintenance-sized sweep
+   of 12 ragged segment sets fitted by sequential ``fit`` calls against
+   one batched ``fit_many`` pass, with a ``bitwise`` flag that every
+   bank, loss history and iteration count matches.
 2. **ProtoAttn inference forward** — with the cached prototype query
    projection against a forward that recomputes C_Q every call.
 3. **Streaming throughput** — ring-buffer ``observe`` steps/second and
@@ -58,8 +62,9 @@ from repro import autograd as ag
 from repro.autograd import Tensor
 
 # Schema 7 added the fleet_observability section; schema 8 added the
-# plan_engine section (compiled execution plans) and its speedup gate.
-SCHEMA_VERSION = 8
+# plan_engine section (compiled execution plans) and its speedup gate;
+# schema 9 added clustering_fit.phase_sweep (batched multi-set fits).
+SCHEMA_VERSION = 9
 
 # Pinned dimensions: large enough that the hot paths dominate, small
 # enough that the full benchmark stays under ~1 minute on CPU.
@@ -67,6 +72,15 @@ _CLUSTER_FULL = {"segments_per_motif": 512, "segment_length": 24,
                  "num_prototypes": 16, "refine_steps": 10, "max_iters": 8}
 _CLUSTER_QUICK = {"segments_per_motif": 96, "segment_length": 16,
                   "num_prototypes": 8, "refine_steps": 5, "max_iters": 5}
+# The maintenance worker's full refit: one set per phase offset of a
+# p=12 stream, ragged by up to 176 segments, at the worker's clustering
+# config with a fixed iteration count (tol=0).
+_SWEEP_FULL = {"sets": 12, "min_segments": 3072, "ragged_step": 16,
+               "segment_length": 12, "num_prototypes": 8, "refine_steps": 3,
+               "max_iters": 15}
+_SWEEP_QUICK = {"sets": 12, "min_segments": 192, "ragged_step": 16,
+                "segment_length": 12, "num_prototypes": 8, "refine_steps": 3,
+                "max_iters": 8}
 
 _ATTN_FULL = {"k": 8, "p": 16, "d_model": 64, "batch": 8, "n_segments": 32, "rounds": 30}
 _ATTN_QUICK = {"k": 8, "p": 16, "d_model": 32, "batch": 4, "n_segments": 16, "rounds": 8}
@@ -183,6 +197,56 @@ def bench_clustering(quick: bool = False) -> dict:
         "speedup": round(loop_s / vectorized_s, 2),
         "max_abs_diff": max_abs_diff,
         "equivalent_1e8": bool(max_abs_diff < 1e-8),
+        "phase_sweep": bench_phase_sweep(quick),
+    }
+
+
+def bench_phase_sweep(quick: bool = False) -> dict:
+    """Sequential per-set ``fit`` vs one batched ``fit_many`` pass."""
+    from repro.core.clustering import ClusteringConfig, SegmentClusterer
+
+    dims = _SWEEP_QUICK if quick else _SWEEP_FULL
+    sizes = [
+        dims["min_segments"] + dims["ragged_step"] * ((5 * i) % dims["sets"])
+        for i in range(dims["sets"])
+    ]
+    pool = _motif_segments(
+        max(sizes) // 4 + 1, dims["segment_length"], dims["num_prototypes"]
+    )
+    rng = np.random.default_rng(11)
+    sets = [pool[rng.permutation(len(pool))[:size]] for size in sizes]
+    config = ClusteringConfig(
+        num_prototypes=dims["num_prototypes"],
+        segment_length=dims["segment_length"],
+        refine_steps=dims["refine_steps"],
+        max_iters=dims["max_iters"],
+        tol=0.0,
+        seed=0,
+    )
+
+    started = time.perf_counter()
+    sequential = [SegmentClusterer(config).fit(segments) for segments in sets]
+    sequential_s = time.perf_counter() - started
+
+    batched = SegmentClusterer(config)
+    started = time.perf_counter()
+    banks = batched.fit_many(sets)
+    batched_s = time.perf_counter() - started
+
+    bitwise = all(
+        np.array_equal(bank, alone.prototypes_)
+        and history == alone.loss_history_
+        and n_iter == alone.n_iter_
+        for bank, history, n_iter, alone in zip(
+            banks, batched.loss_histories_, batched.n_iters_, sequential
+        )
+    )
+    return {
+        "config": {**dims, "n_segments": [min(sizes), max(sizes)]},
+        "sequential_s": round(sequential_s, 4),
+        "batched_s": round(batched_s, 4),
+        "speedup": round(sequential_s / batched_s, 2),
+        "bitwise": bool(bitwise),
     }
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.core.clustering import (
     ClusteringConfig,
     SegmentClusterer,
+    _SegmentTerms,
+    bucket_sums,
     composite_distance,
     pearson_rows,
 )
@@ -215,6 +217,135 @@ class TestSegmentClusterer:
         with pytest.raises(ValueError, match="refine_impl"):
             ClusteringConfig(refine_impl="numba")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_prototypes", 0),
+            ("max_iters", -1),
+            ("refine_steps", -1),
+            ("tol", -1e-9),
+            ("lr", 0.0),
+            ("lr", -0.05),
+        ],
+    )
+    def test_invalid_config_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClusteringConfig(**{field: value})
+
+    def test_zero_iterations_allowed(self, rng):
+        segments, _ = motif_segments(rng)
+        clusterer = SegmentClusterer(
+            ClusteringConfig(num_prototypes=3, segment_length=8, max_iters=0, refine_steps=0)
+        ).fit(segments)
+        assert clusterer.prototypes_.shape == (3, 8)
+        assert clusterer.n_iter_ == 0 and clusterer.loss_history_ == []
+
+
+class TestBucketSums:
+    """``bucket_sums`` must equal ``np.add.at`` bit for bit."""
+
+    @pytest.mark.parametrize("row_shape", [(), (7,), (3, 4)])
+    def test_matches_add_at(self, rng, row_shape):
+        k = 9
+        labels = rng.integers(0, k - 3, size=500)  # the last 3 buckets stay empty
+        rows = rng.standard_normal((500,) + row_shape) * 10.0 ** rng.integers(
+            -8, 8, size=(500,) + row_shape
+        )
+        expected = np.zeros((k,) + row_shape)
+        np.add.at(expected, labels, rows)
+        sums = bucket_sums(labels, rows, k)
+        assert sums.shape == expected.shape and sums.dtype == np.float64
+        assert np.array_equal(sums, expected)
+        assert not sums[k - 3 :].any()
+
+    def test_float32_accumulates_in_float32(self, rng):
+        labels = rng.integers(0, 4, size=200)
+        rows = rng.standard_normal((200, 5)).astype(np.float32)
+        expected = np.zeros((4, 5), dtype=np.float32)
+        np.add.at(expected, labels, rows)
+        sums = bucket_sums(labels, rows, 4)
+        assert sums.dtype == np.float32 and np.array_equal(sums, expected)
+
+    def test_no_rows(self):
+        sums = bucket_sums(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 2)
+        assert np.array_equal(sums, np.zeros((2, 3)))
+
+
+class TestFitMany:
+    """Every bank of a batched fit is bit-identical to fitting its set alone."""
+
+    @staticmethod
+    def assert_matches_fit(config, sets):
+        batched = SegmentClusterer(config)
+        banks = batched.fit_many(sets)
+        assert len(banks) == len(sets)
+        for i, data in enumerate(sets):
+            alone = SegmentClusterer(config).fit(data)
+            assert np.array_equal(banks[i], alone.prototypes_)
+            assert batched.loss_histories_[i] == alone.loss_history_
+            assert batched.n_iters_[i] == alone.n_iter_
+        return batched
+
+    @staticmethod
+    def ragged_sets(rng, sizes=(120, 97, 64, 33), noise=0.05):
+        segments, _ = motif_segments(rng, noise=noise)
+        return [segments[rng.permutation(len(segments))[:n]] for n in sizes]
+
+    def test_ragged_sets_stop_at_different_iterations(self, rng):
+        config = ClusteringConfig(
+            num_prototypes=4, segment_length=8, max_iters=25, refine_steps=30
+        )
+        assert config.tol == ClusteringConfig().tol
+        batched = self.assert_matches_fit(config, self.ragged_sets(rng))
+        # Some banks stop early and leave the batch while others go on.
+        assert len(set(batched.n_iters_)) > 1
+        assert min(batched.n_iters_) < config.max_iters
+
+    @pytest.mark.parametrize("use_correlation", [True, False])
+    @pytest.mark.parametrize("refine_impl", ["vectorized", "loop"])
+    def test_matches_fit(self, rng, use_correlation, refine_impl):
+        config = ClusteringConfig(
+            num_prototypes=3,
+            segment_length=8,
+            max_iters=8,
+            use_correlation=use_correlation,
+            refine_impl=refine_impl,
+        )
+        self.assert_matches_fit(config, self.ragged_sets(rng, noise=0.3))
+
+    def test_empty_bucket_reseed(self, rng, monkeypatch):
+        # Three distinct rows for four prototypes: seeding must pick a
+        # duplicate, so a bucket is empty and re-seeded in iteration 1.
+        duplicated = np.repeat(rng.standard_normal((3, 6)), [10, 5, 5], axis=0)
+        reseeds = []
+        original = SegmentClusterer._fix_empty_buckets
+
+        def counting(self, labels, *args):
+            reseeds.append(int((np.bincount(labels, minlength=4) == 0).sum()))
+            return original(self, labels, *args)
+
+        monkeypatch.setattr(SegmentClusterer, "_fix_empty_buckets", counting)
+        config = ClusteringConfig(num_prototypes=4, segment_length=6, max_iters=6)
+        other = rng.standard_normal((41, 6))
+        self.assert_matches_fit(config, [duplicated, other, duplicated[::-1]])
+        assert any(reseeds)
+
+    def test_fit_is_the_one_set_case(self, rng):
+        (data,) = self.ragged_sets(rng, sizes=(80,))
+        config = ClusteringConfig(num_prototypes=3, segment_length=8, max_iters=6)
+        clusterer = SegmentClusterer(config)
+        (bank,) = clusterer.fit_many([data])
+        fitted = SegmentClusterer(config).fit(data)
+        assert np.array_equal(bank, fitted.prototypes_)
+        assert clusterer.prototypes_ is None  # fit_many leaves the fitted bank alone
+
+    def test_too_few_segments_in_any_set_raises(self, rng):
+        segments, _ = motif_segments(rng)
+        with pytest.raises(ValueError, match="at least k"):
+            SegmentClusterer(num_prototypes=3, segment_length=8).fit_many(
+                [segments, segments[:2]]
+            )
+
 
 class TestSaveLoadRoundTrip:
     def test_non_default_config_survives(self, rng, tmp_path):
@@ -318,9 +449,8 @@ class TestRefineEquivalence:
         labels = rng.integers(0, 3, size=30)  # bucket 3 stays empty
         config = ClusteringConfig(num_prototypes=4, segment_length=6, refine_steps=5)
         clusterer = SegmentClusterer(config)
-        fast, fast_loss = clusterer._refine_prototypes_vectorized(
-            segments, labels, prototypes.copy()
-        )
+        targets = clusterer._bucket_targets(_SegmentTerms(segments), labels, prototypes)
+        (fast,), (fast_loss,) = clusterer._refine_batched([prototypes.copy()], [targets])
         slow, slow_loss = clusterer._refine_prototypes_loop(
             segments, labels, prototypes.copy()
         )

@@ -8,13 +8,16 @@ end-to-end scenarios (forecast-MSE gate) live in
 ``test_lifecycle_chaos.py``.
 """
 
+import math
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.clustering import SegmentClusterer
 from repro.maintenance import MaintenanceConfig, MaintenanceWorker
+from repro.maintenance.repair import ShadowScorer, build_job_data, phase_candidates
 from repro.robustness import ChaosSpec
 from repro.telemetry import DriftConfig, MetricsRegistry
 from repro.telemetry.runlog import RunLogger
@@ -199,6 +202,78 @@ class TestShadowGateAndSwap:
         result = worker.propose(bank, force=True)
         assert result["status"] == "swapped"
         np.testing.assert_array_equal(worker.model.prototype_values(), bank)
+
+
+class TestPhaseSweep:
+    """The batched full refit picks what the per-phase sweep picks."""
+
+    @pytest.mark.parametrize("metric", ["inertia", "mse"])
+    def test_full_job_matches_per_phase_fit_and_score(self, rng, metric):
+        sink = ListSink()
+        worker = make_worker(sink=sink, mode="full", shadow_metric=metric)
+        model = worker.model
+        feed(worker, regime_rows(rng, 100, fast=True))
+
+        # Reference: fit each phase alone, score it, keep the first best.
+        config, model_config = worker.config, model.config
+        history, starts = worker.history.snapshot_with_starts()
+        _, inputs, targets, fit_rows = build_job_data(
+            history, model_config.lookback, model_config.horizon,
+            model_config.segment_length, config.holdout_windows,
+        )
+        scorer = ShadowScorer(model.snapshot(), metric)
+        phases = [
+            (phase, chopped)
+            for phase, chopped in phase_candidates(
+                fit_rows, model_config.segment_length, starts
+            )
+            if len(chopped) >= model_config.num_prototypes
+        ]
+        assert len(phases) > 1
+        best, expected, expected_phase = math.inf, None, None
+        for phase, chopped in phases:
+            bank = SegmentClusterer(worker._clustering).fit(chopped).prototypes_
+            score = scorer.score(bank, inputs, targets)
+            if score < best:
+                best, expected, expected_phase = score, bank, phase
+
+        candidates = []
+        refit = worker._refit_with_timeout
+
+        def capture(*args, **kwargs):
+            candidates.append(refit(*args, **kwargs))
+            return candidates[-1]
+
+        worker._refit_with_timeout = capture
+        result = worker.run_once("manual")
+        assert result["mode"] == "full"
+        (candidate,) = candidates
+        assert np.array_equal(candidate, expected)
+        assert events_of(sink, "maintenance_refit")[-1]["phase"] == expected_phase
+
+    def test_stop_after_fit_scores_no_bank(self, rng, monkeypatch):
+        worker = make_worker(mode="full")
+        feed(worker, regime_rows(rng, 100, fast=True))
+        fit_many = SegmentClusterer.fit_many
+        scored = []
+
+        def fit_then_stop(self, segment_sets):
+            banks = fit_many(self, segment_sets)
+            worker._stop.set()
+            return banks
+
+        original_score = ShadowScorer.score
+
+        def counting_score(self, bank, inputs, targets):
+            scored.append(bank)
+            return original_score(self, bank, inputs, targets)
+
+        monkeypatch.setattr(SegmentClusterer, "fit_many", fit_then_stop)
+        # The live bank is scored once before the refit starts.
+        monkeypatch.setattr(ShadowScorer, "score", counting_score)
+        result = worker.run_once("manual")
+        assert result["status"] == "refit_failed"
+        assert len(scored) == 1
 
 
 class TestRefitFaults:

@@ -144,6 +144,9 @@ class TestCommands:
         assert report["mode"] == "quick"
         assert report["clustering_fit"]["equivalent_1e8"] is True
         assert report["clustering_fit"]["speedup"] > 0
+        assert report["clustering_fit"]["phase_sweep"]["bitwise"] is True
+        assert report["clustering_fit"]["phase_sweep"]["speedup"] > 0
+        assert "phase sweep" in out
         assert report["streaming"]["observe_per_s"] > 0
         step = report["training_step"]
         assert "training step" in out
@@ -164,7 +167,7 @@ class TestCommands:
         assert "telemetry" in capsys.readouterr().out
         with open(path) as handle:
             report = json.load(handle)
-        assert report["schema"] == 8
+        assert report["schema"] == 9
         telemetry = report["telemetry"]
         assert telemetry["events_per_s"] > 0
         assert telemetry["off_ms"] > 0 and telemetry["on_ms"] > 0
