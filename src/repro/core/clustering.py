@@ -20,6 +20,12 @@ independent segment sets at once (the maintenance worker's per-phase
 refit sweep); :meth:`SegmentClusterer.fit` is its one-set case, so there
 is a single fit loop.  Each bank of a batched fit is bit-identical to
 fitting its set alone.
+
+The per-iteration kernels (in-place distances, running-minimum
+k-means++ seeding, one shared bucket-sum index per bank iteration) are
+written for speed under one rule: no output bit may change.  A golden
+fixture (``tests/core/goldens/clustering_banks.npz``) pins banks, loss
+histories and seed draws across commits.
 """
 
 from __future__ import annotations
@@ -43,17 +49,37 @@ def bucket_sums(labels: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     ``np.add.at`` does, only faster.  ``bincount`` accumulates in float64,
     so other dtypes keep ``np.add.at``.
     """
-    rows = np.asarray(rows)
-    out_shape = (k,) + rows.shape[1:]
-    if rows.dtype != np.float64:
-        sums = np.zeros(out_shape, dtype=rows.dtype)
-        np.add.at(sums, labels, rows)
-        return sums
-    width = int(np.prod(rows.shape[1:]))
-    index = (np.asarray(labels)[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(
-        index, weights=rows.reshape(-1), minlength=k * width
-    ).reshape(out_shape)
+    (sums,) = _bucket_sums(labels, [rows], k)
+    return sums
+
+
+def _bucket_sums(labels: np.ndarray, row_sets: list, k: int) -> list[np.ndarray]:
+    """:func:`bucket_sums` of several same-shaped row arrays under one
+    ``labels``, building the ``labels * width + column`` bincount index
+    once for all of them.
+
+    Sort + ``np.add.reduceat`` is *not* bit-equal to ``np.add.at`` (it
+    sums in a different order), and a one-hot matmul or stacked
+    ``(B, n, k)`` arrays cost memory, so the index is the shared part.
+    """
+    row_sets = [np.asarray(rows) for rows in row_sets]
+    out_shape = (k,) + row_sets[0].shape[1:]
+    sums = []
+    index = None
+    for rows in row_sets:
+        if rows.dtype != np.float64:
+            bucket = np.zeros(out_shape, dtype=rows.dtype)
+            np.add.at(bucket, labels, rows)
+            sums.append(bucket)
+            continue
+        width = int(np.prod(rows.shape[1:]))
+        if index is None:
+            index = (np.asarray(labels)[:, None] * width + np.arange(width)).ravel()
+        sums.append(
+            np.bincount(index, weights=rows.reshape(-1), minlength=k * width)
+            .reshape(out_shape)
+        )
+    return sums
 
 
 def _centre(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,13 +88,27 @@ def _centre(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centred, np.linalg.norm(centred, axis=1, keepdims=True)
 
 
-def _pearson(centred: np.ndarray, norms: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+def _pearson(
+    centred: np.ndarray,
+    norms: np.ndarray,
+    prototypes: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Clipped Pearson correlation, ``(n, k)``, written into ``out`` if given.
+
+    Bit-identical to ``clip(where(denom > 1e-12, numer / max(denom,
+    1e-12), 0), -1, 1)``, computed in place: the rank-1 denominator
+    ``norms @ pro_norm^T`` is the exact product ``norms * pro_norm^T``.
+    """
     pro, pro_norm = _centre(prototypes)
-    denom = norms @ pro_norm.T
-    numer = centred @ pro.T
+    corr = np.matmul(centred, pro.T, out=out)
+    denom = norms * pro_norm.T
+    flat = ~(denom > 1e-12)
+    np.maximum(denom, 1e-12, out=denom)
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > 1e-12, numer / np.maximum(denom, 1e-12), 0.0)
-    return np.clip(corr, -1.0, 1.0)
+        corr /= denom
+    corr[flat] = 0.0
+    return np.clip(corr, -1.0, 1.0, out=corr)
 
 
 def pearson_rows(segments: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -109,13 +149,28 @@ class _SegmentTerms:
         return centred / np.where(norms < 1e-12, 1.0, norms)
 
     def distance(self, prototypes: np.ndarray, alpha: float) -> np.ndarray:
-        """Eq. (13) of every segment vs every prototype, ``(n, k)``."""
+        """Eq. (13) of every segment vs every prototype, ``(n, k)``.
+
+        The ufuncs of the plain expression
+        ``max(sq + pro_sq - (2 S) @ C^T, 0) + alpha * (1 - corr)``
+        run in the same order, but write into two ``(n, k)`` buffers
+        instead of allocating a temporary per step, so every entry is
+        bit-identical to it.  ``(2 S) @ C^T`` equals ``2 (S @ C^T)``
+        exactly: doubling is exact, also inside the products and sums.
+        """
         pro_sq = (prototypes**2).sum(axis=1)
-        euclidean_sq = self.sq + pro_sq[None, :] - 2.0 * self.segments @ prototypes.T
-        euclidean_sq = np.maximum(euclidean_sq, 0.0)
+        cross = np.matmul(self.segments, prototypes.T)
+        cross *= 2.0
+        distance = np.add(self.sq, pro_sq[None, :])
+        distance -= cross
+        np.maximum(distance, 0.0, out=distance)
         if alpha == 0.0:
-            return euclidean_sq
-        return euclidean_sq + alpha * (1.0 - _pearson(*self.centred, prototypes))
+            return distance
+        corr = _pearson(*self.centred, prototypes, out=cross)
+        np.subtract(1.0, corr, out=corr)
+        corr *= alpha
+        distance += corr
+        return distance
 
 
 def composite_distance(
@@ -234,7 +289,21 @@ class SegmentClusterer:
         return segment_series(data, p)
 
     def _init_prototypes(self, terms: _SegmentTerms, rng: np.random.Generator) -> np.ndarray:
-        """k-means++-style seeding under the composite distance."""
+        """k-means++-style seeding under the composite distance.
+
+        Keeps each segment's distance to its nearest chosen seed as a
+        running minimum, folding in one new seed per step, instead of
+        recomputing distances to every seed chosen so far.  The draws are
+        bit-identical to that quadratic scheme only because of how the
+        distance columns are computed: a *1-column* bank takes BLAS's
+        matrix-vector path, whose column is not bit-equal to the same
+        column of a matrix-matrix product with two or more columns,
+        while columns of 2- to k-column products all agree.  So step 0
+        keeps the 1-column call of the first step, step 1 computes both
+        seeds in one 2-column call, and every later seed ``c`` is
+        computed as column 0 of the 2-column bank ``[c, c]``.  Do not
+        replace those calls with 1-column ones.
+        """
         k = self.config.num_prototypes
         segments = terms.segments
         n = segments.shape[0]
@@ -242,14 +311,19 @@ class SegmentClusterer:
             raise ValueError(f"need at least k={k} segments, got {n}")
         alpha = self.config.effective_alpha
         chosen = [int(rng.integers(n))]
-        for _ in range(k - 1):
-            dists = terms.distance(segments[chosen], alpha).min(axis=1)
-            dists = np.maximum(dists, 0.0)
-            total = dists.sum()
+        nearest = None
+        for step in range(k - 1):
+            if step < 2:
+                nearest = terms.distance(segments[chosen], alpha).min(axis=1)
+            else:
+                newest = terms.distance(segments[[chosen[-1]] * 2], alpha)[:, 0]
+                np.minimum(nearest, newest, out=nearest)
+            np.maximum(nearest, 0.0, out=nearest)
+            total = nearest.sum()
             if total <= 0.0:
                 chosen.append(int(rng.integers(n)))
                 continue
-            chosen.append(int(rng.choice(n, p=dists / total)))
+            chosen.append(int(rng.choice(n, p=nearest / total)))
         return segments[chosen].copy()
 
     def fit(self, data: np.ndarray) -> "SegmentClusterer":
@@ -371,7 +445,8 @@ class SegmentClusterer:
         The Pearson term of Eq. (10) is linear in the (fixed) segments, so
         each bucket's mean correlation collapses to a dot product between
         the prototype and the mean of the bucket's unit-normalized centred
-        segments, computed here once per refinement call.
+        segments, computed here once per refinement call.  Both bucket
+        sums share one bincount index (see :func:`_bucket_sums`).
         """
         cfg = self.config
         k = cfg.num_prototypes
@@ -382,12 +457,10 @@ class SegmentClusterer:
         # Empty buckets are anchored to their incoming prototype (the
         # reconstruction term then has zero initial gradient), exactly as
         # the reference implementation does.
-        means = np.where(
-            occupied[:, None], bucket_sums(labels, segments, k) / divisor, prototypes
-        )
-        unit_means = (
-            bucket_sums(labels, terms.unit(), k) / divisor if cfg.use_correlation else None
-        )
+        rows = [segments, terms.unit()] if cfg.use_correlation else [segments]
+        sums = _bucket_sums(labels, rows, k)
+        means = np.where(occupied[:, None], sums[0] / divisor, prototypes)
+        unit_means = sums[1] / divisor if cfg.use_correlation else None
         return means, unit_means, occupied
 
     def _refine_batched(

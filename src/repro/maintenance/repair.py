@@ -11,7 +11,9 @@ Three building blocks used by :class:`~repro.maintenance.MaintenanceWorker`:
   free the slot), for cheap repair of small drifts without a full refit;
 - :class:`ShadowScorer` — scores a candidate bank against the live bank
   on held-out recent windows using a **replica** model rebuilt from a
-  snapshot, so scoring never touches the serving model.
+  snapshot, so scoring never touches the serving model; the replica
+  replays compiled plans and is reused across jobs while the model is
+  unchanged.
 
 The split/merge trigger follows the ODAC pattern (SNIPPETS.md Snippet 1):
 act on cluster statistics — here the within-bucket composite-distance
@@ -31,6 +33,8 @@ from repro.core.model import FOCUSForecaster
 from repro.data.segments import segment_series
 
 SHADOW_METRICS = ("mse", "inertia")
+# State-dict keys of the prototype buffers (one per ProtoAttn mixer).
+_PROTOTYPE_STATE_SUFFIX = ".prototypes__buffer"
 
 
 class RecentHistory:
@@ -358,6 +362,10 @@ def incremental_repair(
     return candidate, info
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class ShadowScorer:
     """Score prototype banks on held-out windows without touching the
     live model.
@@ -374,6 +382,16 @@ class ShadowScorer:
     - ``"inertia"`` — mean nearest-prototype composite distance of the
       holdout segments (the clustering objective itself; cheaper, and
       independent of the readout weights).
+
+    Forecasts run through the compiled plan engine (``engine="plan"``),
+    which is bit-identical to eager in float64, and plans read the
+    prototype buffers live, so one replica serves any number of banks
+    with a single plan trace.  A scorer is therefore meant to be kept
+    and reused while the model it was built from is unchanged up to its
+    bank (see :meth:`serves`).  :meth:`score` holds a lock around
+    installing the bank and replaying, so threads sharing one scorer
+    (a refit attempt, an abandoned straggler, the rollback watch) get
+    exactly the scores they would get alone.
     """
 
     def __init__(self, snapshot: dict, metric: str = "mse"):
@@ -385,6 +403,28 @@ class ShadowScorer:
         self._replica = FOCUSForecaster.from_snapshot(snapshot)
         self._replica.eval()
         self._config = self._replica.config
+        self._snapshot = snapshot
+        self._lock = threading.Lock()
+
+    def serves(self, snapshot: dict) -> bool:
+        """Whether the replica is the model ``snapshot`` describes, up to
+        its prototype bank (which :meth:`score` replaces anyway).
+
+        Compares the architecture (``config``, ``mixer``, ``fusion``,
+        ``dtype``) and every non-prototype state array by dtype, shape
+        and bytes: ``np.array_equal`` alone would call float32 and
+        float64 weights equal, and plans fold those weights at trace
+        time.
+        """
+        mine = self._snapshot
+        if any(mine[key] != snapshot[key] for key in ("config", "mixer", "fusion", "dtype")):
+            return False
+        if mine["state"].keys() != snapshot["state"].keys():
+            return False
+        return all(
+            name.endswith(_PROTOTYPE_STATE_SUFFIX) or _same_bits(value, snapshot["state"][name])
+            for name, value in mine["state"].items()
+        )
 
     def score(
         self,
@@ -406,8 +446,9 @@ class ShadowScorer:
                 segments, np.asarray(bank, dtype=np.float64), self._config.alpha
             )
             return float(distances.min(axis=1).mean())
-        self._replica.set_prototypes(bank)
-        predictions = self._replica.forecast_batch(np.stack(inputs))
+        with self._lock:
+            self._replica.set_prototypes(bank)
+            predictions = self._replica.forecast_batch(np.stack(inputs), engine="plan")
         if not np.isfinite(predictions).all():
             return float("inf")
         return float(np.mean((predictions - np.stack(targets)) ** 2))

@@ -205,6 +205,11 @@ class MaintenanceWorker:
         self._watch_lock = threading.Lock()
         self._watch: dict | None = None
 
+        # One shadow scorer per worker, rebuilt only when the model
+        # changes beyond its bank (see ``_shadow_scorer``).
+        self._scorer_lock = threading.Lock()
+        self._scorer: ShadowScorer | None = None
+
         # Trace id of the job currently (or last) executing; stamped on
         # every maintenance event via ``_event``.  Jobs are serialized
         # (one in flight), so a plain field suffices.
@@ -466,19 +471,18 @@ class MaintenanceWorker:
         else:
             mode = config.mode
 
-        snapshot = self.model.snapshot()
-        scorer = ShadowScorer(snapshot, config.shadow_metric)
+        scorer = self._shadow_scorer()
         live_score = scorer.score(live, inputs, targets)
 
         attempted_modes = []
         while True:
             attempted_modes.append(mode)
             self._set_state("refitting")
-            candidate = self._refit_with_timeout(
-                fit_segments, mode, live, fit_rows, snapshot, inputs, targets,
+            refit = self._refit_with_timeout(
+                fit_segments, mode, live, fit_rows, scorer, inputs, targets,
                 starts,
             )
-            if candidate is None:
+            if refit is None:
                 self.stats_counters["jobs_failed"] += 1
                 self._set_state("idle")
                 return {
@@ -486,8 +490,12 @@ class MaintenanceWorker:
                     "mode": mode,
                     "attempts": self._refit_attempts,
                 }
+            candidate, candidate_score = refit
             self._set_state("shadowing")
-            candidate_score = scorer.score(candidate, inputs, targets)
+            if candidate_score is None:
+                # A full refit already scored its winner on this scorer
+                # and holdout; only an incremental repair is scored here.
+                candidate_score = scorer.score(candidate, inputs, targets)
             accepted = candidate_score <= live_score * (1.0 - config.shadow_margin)
             self._event(
                 "maintenance_shadow",
@@ -545,7 +553,7 @@ class MaintenanceWorker:
             return {"status": "skipped", "reason": "prototype-free mixer"}
         self._job_trace = new_id()
         config = self.model.config
-        scorer = ShadowScorer(self.model.snapshot(), self.config.shadow_metric)
+        scorer = self._shadow_scorer()
         _, inputs, targets, _ = build_job_data(
             self.history.snapshot(),
             config.lookback,
@@ -594,6 +602,24 @@ class MaintenanceWorker:
         self.stats_counters["jobs_swapped"] += 1
         return {"status": "swapped", "mode": "proposed"}
 
+    def _shadow_scorer(self) -> ShadowScorer:
+        """The worker's shadow scorer for the model as it is now.
+
+        A replica costs a rebuild plus a plan trace, several times one
+        score, so the worker keeps one and reuses it for every job,
+        refit attempt, :meth:`propose` and rollback check while the
+        model is unchanged up to its bank (:meth:`ShadowScorer.serves`).
+        A different shadow metric or any other change to the model
+        builds a fresh one.
+        """
+        snapshot = self.model.snapshot()
+        metric = self.config.shadow_metric
+        with self._scorer_lock:
+            scorer = self._scorer
+            if scorer is None or scorer.metric != metric or not scorer.serves(snapshot):
+                scorer = self._scorer = ShadowScorer(snapshot, metric)
+            return scorer
+
     # ------------------------------------------------------------------
     # Refit execution (timeout + retries + chaos channels)
     # ------------------------------------------------------------------
@@ -603,11 +629,11 @@ class MaintenanceWorker:
         mode: str,
         live: np.ndarray,
         fit_rows: dict[str, np.ndarray] | None = None,
-        snapshot: dict | None = None,
+        scorer: ShadowScorer | None = None,
         inputs: list[np.ndarray] | None = None,
         targets: list[np.ndarray] | None = None,
         starts: dict[str, int] | None = None,
-    ) -> np.ndarray | None:
+    ) -> tuple[np.ndarray, float | None] | None:
         """One refit under timeout, retried with exponential backoff.
 
         Each attempt runs in a daemon helper thread.  Python threads
@@ -617,10 +643,14 @@ class MaintenanceWorker:
 
         When ``fit_rows`` is provided the full-refit path sweeps every
         segmentation phase offset and selects the candidate with the
-        best held-out shadow score (see
-        :func:`~repro.maintenance.repair.phase_candidates`); each
-        attempt builds its own scorer replica from ``snapshot`` so an
-        abandoned straggler thread can never race a retry's forwards.
+        best held-out shadow score on ``scorer`` (see
+        :func:`~repro.maintenance.repair.phase_candidates`).  Attempts
+        share the scorer: it serializes its forwards, and an abandoned
+        straggler checks its holder before every score.
+
+        Returns ``(candidate, score)`` — ``score`` is the winning shadow
+        score of a scored full refit, ``None`` when the attempt did not
+        score its candidate — or ``None`` when every attempt failed.
         """
         config = self.config
         for retry in range(config.max_refit_retries + 1):
@@ -631,6 +661,7 @@ class MaintenanceWorker:
             holder: dict = {
                 "done": threading.Event(),
                 "result": None,
+                "score": None,
                 "error": None,
                 "abandoned": False,
                 "phase": 0,
@@ -639,7 +670,7 @@ class MaintenanceWorker:
                 target=self._refit_attempt,
                 args=(
                     holder, segments, mode, live, attempt,
-                    fit_rows, snapshot, inputs, targets, starts,
+                    fit_rows, scorer, inputs, targets, starts,
                 ),
                 name=f"maintenance-refit-{attempt}",
                 daemon=True,
@@ -667,7 +698,7 @@ class MaintenanceWorker:
                     phase=holder["phase"],
                 )
                 self._counter("maintenance_refit_total", {"status": "ok"})
-                return holder["result"]
+                return holder["result"], holder["score"]
             if finished:
                 status, detail = "error", repr(holder["error"])
             else:
@@ -693,7 +724,7 @@ class MaintenanceWorker:
         self, holder: dict, segments: np.ndarray, mode: str, live: np.ndarray,
         attempt: int,
         fit_rows: dict[str, np.ndarray] | None = None,
-        snapshot: dict | None = None,
+        scorer: ShadowScorer | None = None,
         inputs: list[np.ndarray] | None = None,
         targets: list[np.ndarray] | None = None,
         starts: dict[str, int] | None = None,
@@ -736,11 +767,8 @@ class MaintenanceWorker:
                 # cyclic data), so the selection must run on the holdout.
                 # All phases are fitted in one batched pass; without a
                 # scorer only the first eligible phase is needed.
-                scorer = (
-                    ShadowScorer(snapshot, self.config.shadow_metric)
-                    if snapshot is not None and inputs
-                    else None
-                )
+                if not inputs:
+                    scorer = None
                 eligible = [
                     (offset, chopped)
                     for offset, chopped in sweep
@@ -769,6 +797,8 @@ class MaintenanceWorker:
                     raise RuntimeError(
                         "no phase offset yielded enough segments to refit"
                     )
+                if scorer is not None:
+                    holder["score"] = best
             if not holder["abandoned"]:
                 holder["result"] = np.asarray(candidate, dtype=np.float64)
         except Exception as error:  # noqa: BLE001 - reported via holder

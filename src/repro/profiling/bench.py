@@ -20,13 +20,13 @@ so every future change has a performance trajectory to compare against:
 5. **Telemetry overhead** (schema 3) — the same pinned training step
    run three ways: the plain step, the step through the trainer's
    telemetry guard with instrumentation *disabled* (the ≤2%-overhead
-   gate the CI telemetry job asserts), and with metrics *enabled*; plus
-   the JSONL run-log writer's events/second.
+   gate CI asserts), and with metrics *enabled*; plus the JSONL run-log
+   writer's events/second.
 6. **Serving** (schema 4) — micro-batched forecasting through the
    serving stack vs the sequential per-entity streaming loop: p50/p99
    latency and throughput at batch sizes 1/8/32 with the cache off,
    the same batched path with the cache on (hit serving), and the
-   ``speedup_batch32`` ratio the CI bench-smoke job gates at >=1.5x.
+   ``speedup_batch32`` ratio CI gates at >=1.5x.
 7. **Fleet** (schema 5) — scatter-gather replay through the sharded
    multi-process fleet at 1/2/4(/8) shards: per-request p50/p99 and
    replay throughput per shard count, plus ``scaling_4x`` (4-shard
@@ -37,7 +37,7 @@ so every future change has a performance trajectory to compare against:
    observability plane armed (request tracing + SLO monitor + metrics
    registry) against the same path with telemetry off, run back-to-back
    within every round; ``overhead_pct`` is the median of the per-round
-   paired ratios, the <=3% gate the CI observability job asserts.
+   paired ratios, the <=3% gate CI asserts.
    Run-log JSONL cost is excluded (measured by the telemetry section);
    this gates the tracing machinery itself.
    Also times one fleet metrics-aggregation cycle (snapshot + ingest +
@@ -453,7 +453,7 @@ def bench_telemetry(quick: bool = False) -> dict:
     """Instrumented-off vs instrumented-on training-step overhead on the
     pinned step config, plus JSONL run-log writer throughput.
 
-    ``overhead_off_pct`` is the gate the CI telemetry job pins at <=2%:
+    ``overhead_off_pct`` is the gate CI pins at <=2%:
     the cost of shipping the telemetry guard in the hot loop when no
     registry is attached, relative to the plain step.  Rounds of the
     three variants are interleaved and reduced by median so slow drift

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.clustering import (
     ClusteringConfig,
     SegmentClusterer,
+    _bucket_sums,
     _SegmentTerms,
     bucket_sums,
     composite_distance,
@@ -269,6 +270,147 @@ class TestBucketSums:
     def test_no_rows(self):
         sums = bucket_sums(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 2)
         assert np.array_equal(sums, np.zeros((2, 3)))
+
+
+class TestInPlaceKernels:
+    """The in-place kernels equal the plain expressions bit for bit."""
+
+    @staticmethod
+    def plain_distance(segments, prototypes, alpha):
+        """Eq. (13) as one expression with a temporary per step."""
+        sq = (segments**2).sum(axis=1, keepdims=True)
+        pro_sq = (prototypes**2).sum(axis=1)
+        euclidean_sq = np.maximum(sq + pro_sq[None, :] - 2.0 * segments @ prototypes.T, 0.0)
+        if alpha == 0.0:
+            return euclidean_sq
+        centred = segments - segments.mean(axis=1, keepdims=True)
+        norms = np.linalg.norm(centred, axis=1, keepdims=True)
+        pro = prototypes - prototypes.mean(axis=1, keepdims=True)
+        pro_norm = np.linalg.norm(pro, axis=1, keepdims=True)
+        denom = norms @ pro_norm.T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.where(denom > 1e-12, (centred @ pro.T) / np.maximum(denom, 1e-12), 0.0)
+        return euclidean_sq + alpha * (1.0 - np.clip(corr, -1.0, 1.0))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 3.0])
+    def test_distance_matches_plain_expression(self, rng, dtype, alpha):
+        for n, k, p in [(1, 1, 4), (37, 3, 8), (500, 8, 12), (64, 20, 5)]:
+            segments = (rng.standard_normal((n, p)) * 10.0).astype(dtype)
+            segments[: n // 3] = 2.5  # flat rows: zero-variance branch
+            prototypes = rng.standard_normal((k, p)).astype(dtype)
+            prototypes[0] = -1.0
+            if n > 5:
+                segments[5, 2] = np.nan  # NaN rows stay NaN, as in the plain form
+            got = _SegmentTerms(segments).distance(prototypes, alpha)
+            expected = self.plain_distance(segments, prototypes, alpha)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    def test_shared_index_sums_match_separate_calls(self, rng):
+        labels = rng.integers(0, 6, size=300)
+        first, second = rng.standard_normal((2, 300, 7))
+        low = rng.standard_normal((300, 7)).astype(np.float32)
+        shared = _bucket_sums(labels, [first, second, low], 6)
+        for sums, rows in zip(shared, [first, second, low]):
+            expected = bucket_sums(labels, rows, 6)
+            assert sums.dtype == expected.dtype and np.array_equal(sums, expected)
+
+
+def quadratic_seeding(terms, k, alpha, rng):
+    """The original k-means++ seeding: recompute every chosen seed's
+    distances at each step (the reference the running minimum matches)."""
+    segments = terms.segments
+    n = len(segments)
+    chosen = [int(rng.integers(n))]
+    for _ in range(k - 1):
+        dists = np.maximum(terms.distance(segments[chosen], alpha).min(axis=1), 0.0)
+        total = dists.sum()
+        if total <= 0.0:
+            chosen.append(int(rng.integers(n)))
+            continue
+        chosen.append(int(rng.choice(n, p=dists / total)))
+    return segments[chosen].copy()
+
+
+class RecordingRng:
+    """A seeded generator that records every draw and its probabilities,
+    so two seeding schemes can be compared on the distances they draw
+    from, not only on the (ulp-insensitive) draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def integers(self, n):
+        self.calls.append(("uniform", None))
+        return self._rng.integers(n)
+
+    def choice(self, n, p):
+        self.calls.append(("weighted", p.tobytes()))
+        return self._rng.choice(n, p=p)
+
+
+def assert_same_seeding(config, segments, seed):
+    terms = _SegmentTerms(segments)
+    running, reference = RecordingRng(seed), RecordingRng(seed)
+    got = SegmentClusterer(config)._init_prototypes(terms, running)
+    expected = quadratic_seeding(terms, config.num_prototypes, config.effective_alpha, reference)
+    assert got.tobytes() == expected.tobytes()
+    assert running.calls == reference.calls
+
+
+class TestSeeding:
+    """Running-minimum k-means++ draws exactly the quadratic scheme's seeds.
+
+    The equality rests on a BLAS detail: a 1-column distance call takes
+    numpy's matrix-vector path and is not bit-equal to the same column
+    of a >=2-column matrix product, while columns of 2- to k-column
+    products agree.  Seeding therefore folds each new seed in as column
+    0 of a 2-column ``[c, c]`` call; "simplifying" that to a 1-column
+    call changes the draws and fails these tests.
+    """
+
+    CASES = [
+        # (n, k, p)
+        (1, 1, 4), (5, 1, 6), (2, 2, 3), (8, 8, 12), (9, 2, 8),
+        (50, 3, 8), (300, 8, 12), (3000, 8, 12), (400, 16, 12), (120, 32, 6),
+    ]
+
+    @pytest.mark.parametrize("use_correlation", [True, False])
+    @pytest.mark.parametrize("n,k,p", CASES)
+    def test_matches_quadratic_seeding(self, n, k, p, use_correlation):
+        config = ClusteringConfig(
+            num_prototypes=k, segment_length=p, use_correlation=use_correlation
+        )
+        for seed in range(6):
+            data = np.random.default_rng([n, k, seed])
+            segments = data.standard_normal((n, p)) + data.standard_normal((n, 1))
+            assert_same_seeding(config, segments, seed)
+
+    @pytest.mark.parametrize("use_correlation", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_identical_segments_take_the_uniform_branch(self, k, use_correlation):
+        # Every term of this row is exact (integer squares, centred norm
+        # 2), so all distances are exactly zero and ``total <= 0``.
+        segments = np.tile([4.0, 2.0, 4.0, 2.0], (10, 1))
+        config = ClusteringConfig(
+            num_prototypes=k, segment_length=4, use_correlation=use_correlation
+        )
+        assert_same_seeding(config, segments, 3)
+        rng = RecordingRng(3)
+        SegmentClusterer(config)._init_prototypes(_SegmentTerms(segments), rng)
+        assert [kind for kind, _ in rng.calls] == ["uniform"] * k
+
+    @pytest.mark.parametrize("distinct,copies,k,p", [(3, 4, 6, 5), (4, 25, 8, 12), (2, 9, 5, 8)])
+    def test_distinct_rows_exhausted_then_uniform(self, distinct, copies, k, p):
+        # Fewer distinct rows than seeds: once all are chosen, whether
+        # the remaining distances come out exactly zero (the uniform
+        # branch) depends on the last ulp of each distance column.
+        rows = np.random.default_rng(distinct).standard_normal((distinct, p))
+        config = ClusteringConfig(num_prototypes=k, segment_length=p)
+        for seed in range(10):
+            assert_same_seeding(config, np.repeat(rows, copies, axis=0), seed)
 
 
 class TestFitMany:

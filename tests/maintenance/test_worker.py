@@ -247,8 +247,10 @@ class TestPhaseSweep:
         worker._refit_with_timeout = capture
         result = worker.run_once("manual")
         assert result["mode"] == "full"
-        (candidate,) = candidates
+        ((candidate, score),) = candidates
         assert np.array_equal(candidate, expected)
+        # The attempt's winning score is the job's candidate score.
+        assert score == best == result["candidate_score"]
         assert events_of(sink, "maintenance_refit")[-1]["phase"] == expected_phase
 
     def test_stop_after_fit_scores_no_bank(self, rng, monkeypatch):
