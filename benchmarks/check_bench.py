@@ -31,8 +31,10 @@ def check_clustering(report: dict) -> list[str]:
 def check_telemetry(report: dict) -> list[str]:
     telemetry = report["telemetry"]
     overhead = telemetry["overhead_off_pct"]
+    low, high = telemetry["overhead_off_iqr_pct"]
     print(f"disabled-telemetry overhead: {overhead:+.2f}% "
-          f"(on: {telemetry['overhead_on_pct']:+.2f}%, "
+          f"(per-round IQR {low:+.2f}..{high:+.2f}%, "
+          f"on: {telemetry['overhead_on_pct']:+.2f}%, "
           f"{telemetry['events_per_s']:.0f} events/s)")
     if overhead <= 2.0:
         return []

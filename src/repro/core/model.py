@@ -29,6 +29,7 @@ from repro.autograd.tensor import get_default_dtype
 from repro.core.clustering import ClusteringConfig, SegmentClusterer
 from repro.core.extractor import DualBranchExtractor
 from repro.core.fusion import GatedLinearFusion, ParallelFusion
+from repro.engine.lanes import lanes_available, run_two_lanes
 from repro.nn import Module, RevIN
 
 
@@ -89,6 +90,16 @@ def plan_chunks(batch: int, cap: int) -> list[int]:
         chunks.append(top)
         rest -= top
     return chunks
+
+
+def _replay_chunks(chunks: list, prediction: np.ndarray) -> None:
+    """Replay ``FOCUSForecaster._chunk_plans`` chunks into ``prediction``.
+
+    Writing each chunk's arena result into the float64 ``prediction`` is
+    the copy-out: arenas belong to the replaying thread.
+    """
+    for chunk, start, plan in chunks:
+        prediction[start : start + len(chunk)] = plan.replay(chunk)
 
 
 class FOCUSForecaster(Module):
@@ -387,7 +398,11 @@ class FOCUSForecaster(Module):
         rows keeps the result bit-identical.  Plans are traced on first
         use per (chunk shape, dtype), survive prototype swaps (they read
         the prototype buffers live), are evicted only by ``to_dtype``,
-        and replay concurrently from per-thread arenas.
+        and replay concurrently from per-thread arenas.  A batch of at
+        least :attr:`TWO_LANE_MIN_ROWS` rows replays as two row halves,
+        at once on the caller and the engine's helper thread when this
+        process may use two CPUs and that measures cheaper than one
+        after the other (:mod:`repro.engine.lanes`).
 
         Returns a fresh float64 array that aliases no internal buffer.
         """
@@ -403,19 +418,32 @@ class FOCUSForecaster(Module):
                 # Mirror Tensor.__init__'s coercion of non-float inputs so
                 # the plan's input signature matches what eager would run.
                 windows = windows.astype(get_default_dtype())
-            chunks = plan_chunks(len(windows), self.PLAN_MAX_ROWS)
+            rows = len(windows)
+            if rows >= self.TWO_LANE_MIN_ROWS and lanes_available():
+                # Rows are independent: the caller replays the first
+                # half while the engine's helper thread replays the
+                # second (or the caller both, when that is cheaper),
+                # each lane writing its rows into ``prediction``.
+                prediction = np.empty((rows, cfg.horizon, cfg.num_entities))
+                split = (rows + 1) // 2
+                # Fetch (and trace) both halves' plans before the lanes
+                # start: the lanes then only replay, and a trace never
+                # skews the cost they measure of one way or the other.
+                head = self._chunk_plans(windows[:split])
+                tail = self._chunk_plans(windows[split:])
+                run_two_lanes(
+                    lambda: _replay_chunks(head, prediction[:split]),
+                    lambda: _replay_chunks(tail, prediction[split:]),
+                    units=rows,
+                )
+                return prediction
+            chunks = self._chunk_plans(windows)
             if len(chunks) == 1:
                 # .astype copies the arena result out: callers may
                 # mutate the forecasts.
-                return self._plan_for(windows).replay(windows).astype(np.float64)
-            # Writing each chunk's arena result into a fresh float64
-            # array is the copy-out.
-            prediction = np.empty((len(windows), cfg.horizon, cfg.num_entities))
-            start = 0
-            for rows in chunks:
-                chunk = windows[start : start + rows]
-                prediction[start : start + rows] = self._plan_for(chunk).replay(chunk)
-                start += rows
+                return chunks[0][2].replay(windows).astype(np.float64)
+            prediction = np.empty((rows, cfg.horizon, cfg.num_entities))
+            _replay_chunks(chunks, prediction)
             return prediction
         if engine != "eager":
             raise ValueError(
@@ -436,6 +464,26 @@ class FOCUSForecaster(Module):
     PLAN_MAX_ROWS = 32
     #: Plans kept per model: the six chunk shapes of one dtype fit.
     PLAN_CACHE_CAPACITY = 8
+    #: Smallest batch the plan engine replays as two row halves on two
+    #: threads (:func:`repro.engine.lanes.run_two_lanes`).  Measured on
+    #: the perfbench config (L=96, N=12, p=12, k=8, d=32), 2 vCPUs, best
+    #: of 5 rounds, one lane -> two lanes: B=64 1.55x, B=32 1.80x,
+    #: B=16 1.24x, B=8 1.01x, B=4 0.56x (the hand-off and the GIL
+    #: switches cost more than small kernels save).  32 splits every
+    #: full ``max_batch`` chunk and keeps the 16-row and smaller
+    #: forwards of maintenance and shadow scoring on one lane.
+    TWO_LANE_MIN_ROWS = 32
+
+    def _chunk_plans(self, windows: np.ndarray) -> list:
+        """``(chunk, start, plan)`` for each :func:`plan_chunks` row chunk
+        of ``windows``, tracing missing plans on this thread."""
+        chunks = []
+        start = 0
+        for rows in plan_chunks(len(windows), self.PLAN_MAX_ROWS):
+            chunk = windows[start : start + rows]
+            chunks.append((chunk, start, self._plan_for(chunk)))
+            start += rows
+        return chunks
 
     def _plan_for(self, windows: np.ndarray):
         """Fetch (or trace and compile) the plan for this input signature."""

@@ -44,11 +44,13 @@ class ProtoAttn(Module):
     temperature:
         Softness of the ``"soft"`` assignment (lower = closer to hard).
 
-    Input ``(B, l, p)`` raw segments; output ``(B, l, d_model)``.  After a
-    forward pass :attr:`last_assignment_` holds the ``(B, l)`` prototype
-    indices and :attr:`last_attention_` the ``(B, k, l)`` attention map
-    (both plain ndarrays), which the paper's Fig. 13 analysis multiplies
-    together to visualize learned long-range dependencies.
+    Input ``(B, l, p)`` raw segments; output ``(B, l, d_model)``.  After an
+    eager forward pass :attr:`last_assignment_` holds the ``(B, l)``
+    prototype indices and :attr:`last_attention_` the ``(B, k, l)``
+    attention map (both plain ndarrays), which the paper's Fig. 13
+    analysis multiplies together to visualize learned long-range
+    dependencies.  Plan replays leave both untouched: they may run on
+    several threads at once.
     """
 
     def __init__(
@@ -153,7 +155,9 @@ class ProtoAttn(Module):
         # Assignment matrix A (non-differentiable; Algorithm 2 l.1-4).
         # Hard mode (the paper) routes one-hot; soft mode is an extension.
         assignment = self.assignment_weights(segments.data)  # (B, l, k)
-        self.last_assignment_ = assignment.argmax(axis=-1)
+        # Gather with the local labels, never by reading the attribute
+        # back: another thread's forward may rewrite it in between.
+        labels = self.last_assignment_ = assignment.argmax(axis=-1)
         counter = active_counter()
         if counter is not None:
             # Nearest-prototype search (Sec. VI-B complexity analysis): the
@@ -200,9 +204,7 @@ class ProtoAttn(Module):
             # instance-level assignment_weights override (the knockout
             # attribution monkeypatches it) keeps it so the patched
             # matrix actually routes.
-            gathered = np.take_along_axis(
-                proto_context.data, self.last_assignment_[:, :, None], axis=1
-            )
+            gathered = np.take_along_axis(proto_context.data, labels[:, :, None], axis=1)
             return Tensor(gathered)
         return ag.matmul(Tensor(assignment), proto_context)  # (B, l, d)
 
@@ -222,7 +224,7 @@ class ProtoAttn(Module):
         plan stays valid across a swap (a swap never retraces).
         """
         assignment = self.assignment_weights(segments.data)  # (B, l, k)
-        self.last_assignment_ = assignment.argmax(axis=-1)
+        labels = self.last_assignment_ = assignment.argmax(axis=-1)
         proto_queries = capture.custom(
             "protoattn_queries",
             self._replay_queries((), None, {}, None),
@@ -242,9 +244,7 @@ class ProtoAttn(Module):
             and "assignment_weights" not in self.__dict__
         ):
             # Same gather fast path as the eager inference branch.
-            gathered = np.take_along_axis(
-                proto_context.data, self.last_assignment_[:, :, None], axis=1
-            )
+            gathered = np.take_along_axis(proto_context.data, labels[:, :, None], axis=1)
             return capture.custom(
                 "protoattn_gather",
                 gathered,
@@ -287,7 +287,6 @@ class ProtoAttn(Module):
         flat = segments.reshape(-1, self.segment_length)
         distances = self._replay_distances(flat, scratch)
         labels = distances.argmin(axis=1).reshape(segments.shape[:-1])
-        self.last_assignment_ = labels
         # Row gather: same values as eager's take_along_axis with the
         # labels broadcast along the feature axis, via the cheaper
         # integer-index path (a pure copy either way).
@@ -387,9 +386,7 @@ class ProtoAttn(Module):
 
     def _replay_assignment(self, srcs, out, scratch, extras):
         """Replay the (soft or overridden) assignment matrix."""
-        weights = self.assignment_weights(srcs[0])
-        self.last_assignment_ = weights.argmax(axis=-1)
-        return weights
+        return self.assignment_weights(srcs[0])
 
     def dependency_matrix(self) -> np.ndarray:
         """``A @ attention`` from the last forward: ``(B, l, l)``.

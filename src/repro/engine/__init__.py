@@ -9,7 +9,8 @@ suite and by a mandatory compile-time self-check.
 
 Entry points: :meth:`repro.core.model.FOCUSForecaster.forecast_batch`
 with ``engine="plan"``, which the serving stack (``ServingConfig``,
-``FleetConfig``, ``repro serve``) uses by default.
+``FleetConfig``, ``repro serve``) uses by default.  It replays large
+batches as two row halves on two threads (:mod:`repro.engine.lanes`).
 """
 
 from repro.engine.plan import (

@@ -60,6 +60,7 @@ from multiprocessing import get_context, shared_memory
 import numpy as np
 
 from repro.core.model import FOCUSForecaster
+from repro.engine.lanes import use_single_lane
 from repro.robustness.health import NAN_POLICIES, HealthMonitor
 from repro.serving.batcher import ForecastResponse
 from repro.serving.server import ForecastServer, ServingConfig
@@ -90,7 +91,9 @@ _HEADER_BYTES = _HEADER_SLOTS * 8
 
 # BLAS pools size themselves at library load; workers serve small
 # per-shard batches where intra-op threading only causes cross-shard
-# oversubscription, so spawn them pinned to one thread each.
+# oversubscription, so spawn them pinned to one thread each.  For the
+# same reason a shard replays every plan batch on one lane
+# (``use_single_lane`` in ``_worker_main``).
 _WORKER_ENV = {
     "OMP_NUM_THREADS": "1",
     "OPENBLAS_NUM_THREADS": "1",
@@ -487,6 +490,7 @@ class _ShardWorker:
 
 def _worker_main(conn, spec: dict) -> None:
     """Entry point of one shard process (spawn-safe, module-level)."""
+    use_single_lane()
     worker = _ShardWorker(spec)
     try:
         while True:

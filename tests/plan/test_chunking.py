@@ -3,13 +3,16 @@
 ``forecast_batch(engine="plan")`` runs a batch as power-of-two row
 chunks capped at ``PLAN_MAX_ROWS`` (32), so ragged serving traffic
 reuses a bounded set of plans instead of tracing one per batch size.
-Rows are independent in float64, so the stitched result must equal the
-eager forward bitwise — NaN rows included.
+Batches of ``TWO_LANE_MIN_ROWS`` and more are first split into two row
+halves replayed at once (``tests/plan/test_lanes.py``).  Rows are
+independent in float64, so the stitched result must equal the eager
+forward bitwise — NaN rows included.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import model as model_module
 from repro.core.model import FOCUSForecaster, plan_chunks
 from repro.serving import ForecastServer, ServingConfig
 
@@ -39,12 +42,14 @@ def test_every_batch_size_matches_eager_bitwise():
     assert len(model._plans) <= 6
 
 
-def test_serving_sizes_one_to_32_trace_at_most_six_plans():
+def test_serving_sizes_one_to_32_trace_at_most_six_plans(monkeypatch):
+    # B=32 runs as two 16-row lanes (on any host, for a fixed list).
+    monkeypatch.setattr(model_module, "lanes_available", lambda: True)
     model = build_plan_model()
     for batch in range(1, 33):
         model.forecast_batch(make_windows(model, batch, seed=batch), engine="plan")
     shapes = sorted(key[0][0] for key in model._plans)
-    assert shapes == [1, 2, 4, 8, 16, 32]
+    assert shapes == [1, 2, 4, 8, 16]
     assert len(model._plans) <= model.PLAN_CACHE_CAPACITY
 
 

@@ -157,3 +157,66 @@ def test_threaded_plan_server_matches_eager_server():
         got = plan_responses[entity_id]
         assert got.source == eager.source == "model"
         assert np.array_equal(got.forecast, eager.forecast)
+
+
+
+def _race_against_replay(model, replay_windows, work, calls):
+    """Run ``work()`` ``calls`` times while another thread replays
+    ``replay_windows`` on the same model, with a tiny switch interval.
+    Returns every mismatch or exception either side saw."""
+    replay_oracle = model.forecast_batch(replay_windows, engine="eager")
+    model.forecast_batch(replay_windows, engine="plan")
+    stop = threading.Event()
+    problems = []
+
+    def replay():
+        while not stop.is_set():
+            got = model.forecast_batch(replay_windows, engine="plan")
+            if not np.array_equal(got, replay_oracle):
+                problems.append("replay")
+
+    thread = threading.Thread(target=replay)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    thread.start()
+    try:
+        for _ in range(calls):
+            try:
+                if not work():
+                    problems.append("work")
+            except Exception as error:  # noqa: BLE001 — reported below
+                problems.append(repr(error))
+    finally:
+        stop.set()
+        thread.join(timeout=30.0)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    return problems
+
+
+def test_eager_forward_beside_replay_gathers_its_own_labels():
+    """ProtoAttn routes with the labels of its own forward even while
+    another thread's replay runs on the same module."""
+    model = build_plan_model()
+    windows = make_windows(model, 4, seed=41)
+    oracle = model.forecast_batch(windows, engine="eager")
+
+    def eager():
+        return np.array_equal(model.forecast_batch(windows, engine="eager"), oracle)
+
+    problems = _race_against_replay(model, make_windows(model, 4, seed=42), eager, 200)
+    assert not problems, problems[:5]
+
+
+def test_tracing_a_new_shape_beside_replay_compiles_the_right_plan():
+    model = build_plan_model()
+    windows = make_windows(model, 3, seed=43)
+    oracle = model.forecast_batch(windows, engine="eager")
+
+    def trace():
+        # A fresh trace each call (bypassing the plan cache), then a
+        # replay of it.
+        return np.array_equal(model._trace_plan(windows).replay(windows), oracle)
+
+    problems = _race_against_replay(model, make_windows(model, 2, seed=44), trace, 60)
+    assert not problems, problems[:5]
