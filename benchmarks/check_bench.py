@@ -85,8 +85,10 @@ def check_observability(report: dict) -> list[str]:
 def check_plan(report: dict) -> list[str]:
     plan = report["plan_engine"]
     for batch, entry in plan["batches"].items():
+        low, high = entry["speedup_iqr"]
         print(f"batch {batch}: eager {entry['eager_ms']:.3f}ms vs "
-              f"plan {entry['plan_ms']:.3f}ms ({entry['speedup']:.2f}x)")
+              f"plan {entry['plan_ms']:.3f}ms ({entry['speedup']:.2f}x, "
+              f"per-round IQR {low:.2f}..{high:.2f}x)")
     print(f"plan: {plan['plan_ops']} ops ({plan['plan_folded']} folded), "
           f"build {plan['build_ms']:.1f}ms, "
           f"arena {plan['arena_kb']:.1f}KB")

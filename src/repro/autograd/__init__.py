@@ -19,6 +19,9 @@ Public surface:
 - :func:`legacy_accumulation` to benchmark against the historical
   allocate-per-accumulation backward pass.
 - :func:`gradcheck` for verifying analytic gradients numerically.
+- Graph capture for the plan engine (:func:`capture_graph`, :func:`live`)
+  and the non-differentiable selection ops of
+  :mod:`repro.autograd.select_ops`.
 """
 
 from repro.autograd.tensor import (
@@ -87,7 +90,7 @@ from repro.autograd.shape_ops import (
 )
 from repro.autograd.linalg_ops import matmul, outer
 from repro.autograd.grad_check import gradcheck
-from repro.autograd.capture import GraphCapture, active_capture, capture_graph
+from repro.autograd.capture import GraphCapture, active_capture, capture_graph, live
 
 __all__ = [
     "Tensor",
@@ -109,6 +112,7 @@ __all__ = [
     "GraphCapture",
     "active_capture",
     "capture_graph",
+    "live",
     # math
     "abs",
     "clip",

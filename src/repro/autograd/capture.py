@@ -1,11 +1,12 @@
 """Graph capture: record one forward pass as a replayable op trace.
 
 While a :class:`GraphCapture` is active on a thread (via
-:func:`capture_graph`), every op built through ``Tensor._make`` is
-recorded in construction order — which is already a topological order of
-the data-flow graph — together with its parent tensors and the
-non-Tensor arguments (``extras``) the op needs to run again.  The
-recording is the input to :mod:`repro.engine`, which lowers it to a flat
+:func:`capture_graph`), every op built through ``Tensor._make`` (or a
+declared op of :mod:`repro.autograd.select_ops`) is recorded in
+construction order — which is already a topological order of the
+data-flow graph — together with its parent tensors and the non-Tensor
+arguments (``extras``) the op needs to run again.  The recording is the
+input to :mod:`repro.engine`, which lowers it to a flat
 :class:`~repro.engine.ExecutionPlan` with no Tensor wrappers and no grad
 bookkeeping.
 
@@ -15,32 +16,31 @@ replay safely: its value may depend on the traced input (e.g. a hard
 assignment matrix), and baking it into the plan would silently freeze
 one input's data into every future replay.  Plan compilation therefore
 rejects any traced leaf that was born during capture unless it was
-explicitly blessed as input-independent (scalar operands are blessed
-automatically; model code routes data-dependent values through
-:meth:`GraphCapture.custom`).
+blessed as input-independent (scalar operands are blessed
+automatically) or declared *live* with :func:`live`: a buffer the model
+rewrites in place (the prototype bank), which the plan holds by
+reference and reads afresh on every replay.  Values computed from the
+input are expressed as traced ops instead, the data-dependent ones
+through :mod:`repro.autograd.select_ops`.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor, _set_capture, active_capture
 
-__all__ = ["CapturedNode", "GraphCapture", "capture_graph", "active_capture"]
+__all__ = ["CapturedNode", "GraphCapture", "capture_graph", "active_capture", "live"]
 
 
 class CapturedNode:
-    """One recorded op: output tensor, parent tensors, and replay info.
+    """One recorded op: output tensor, parent tensors, and replay info
+    (the plan compiler looks the kernel up by ``op_name``)."""
 
-    ``replay`` is None for ordinary ops (the plan compiler looks the
-    kernel up by ``op_name``); custom nodes carry their own replay
-    callable ``replay(srcs, out, scratch, extras) -> ndarray``.
-    """
-
-    __slots__ = ("index", "tensor", "parents", "op_name", "extras", "replay")
+    __slots__ = ("index", "tensor", "parents", "op_name", "extras")
 
     def __init__(
         self,
@@ -49,14 +49,12 @@ class CapturedNode:
         parents: Sequence[Tensor],
         op_name: str,
         extras,
-        replay: Callable | None = None,
     ):
         self.index = index
         self.tensor = tensor
         self.parents = list(parents)
         self.op_name = op_name
         self.extras = extras
-        self.replay = replay
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -83,6 +81,8 @@ class GraphCapture:
         self.blessed: set[int] = set()
         # ids of the traced input tensors (dynamic leaves).
         self.input_ids: set[int] = set()
+        # ids of live leaves: held by reference, never folded.
+        self.live_ids: set[int] = set()
 
     # -- hooks called from repro.autograd.tensor ------------------------
     def record_op(self, out: Tensor, parents: Sequence[Tensor], op_name: str, extras):
@@ -104,25 +104,24 @@ class GraphCapture:
         self.births[id(tensor)] = tensor
         self.input_ids.add(id(tensor))
 
-    def custom(
-        self,
-        op_name: str,
-        out_data: np.ndarray,
-        parents: Sequence[Tensor],
-        replay: Callable,
-        extras=None,
-    ) -> Tensor:
-        """Record a data-dependent computation with its own replay closure.
+    def mark_live(self, tensor: Tensor) -> None:
+        """Declare ``tensor`` a live leaf (see :func:`live`)."""
+        self.births[id(tensor)] = tensor
+        self.live_ids.add(id(tensor))
 
-        ``replay(srcs, out, scratch, extras)`` receives the replayed
-        parent arrays (same order as ``parents``) and must return the
-        node's value, recomputing anything input-dependent from them.
-        """
-        out = Tensor._wrap(out_data)
-        node = CapturedNode(len(self.order), out, parents, op_name, extras, replay)
-        self.nodes[id(out)] = node
-        self.order.append(node)
-        return out
+
+def live(array: np.ndarray) -> Tensor:
+    """Wrap a buffer that is rewritten in place (the prototype bank).
+
+    Eager, this is a plain leaf.  Under a capture it is a *live* leaf:
+    the plan holds the array by reference and never constant-folds a
+    node that depends on it, so every replay reads its current values.
+    """
+    tensor = Tensor._wrap(array)
+    capture = active_capture()
+    if capture is not None:
+        capture.mark_live(tensor)
+    return tensor
 
 
 @contextlib.contextmanager

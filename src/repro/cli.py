@@ -270,7 +270,6 @@ def _cmd_bench(args) -> int:
 
     report = run_benchmarks(quick=args.quick)
     clustering = report["clustering_fit"]
-    attn = report["protoattn_forward"]
     streaming = report["streaming"]
     print(f"hot-path benchmark ({report['mode']} mode)")
     print(
@@ -283,10 +282,6 @@ def _cmd_bench(args) -> int:
         f"  phase sweep    : fit_many {sweep['batched_s']:.3f}s vs "
         f"{sweep['config']['sets']} x fit {sweep['sequential_s']:.3f}s  "
         f"({sweep['speedup']:.2f}x, bitwise {sweep['bitwise']})"
-    )
-    print(
-        f"  protoattn fwd  : cached {attn['cached_ms']:.3f}ms vs "
-        f"uncached {attn['uncached_ms']:.3f}ms  ({attn['speedup']:.2f}x)"
     )
     print(
         f"  streaming      : {streaming['observe_per_s']:.0f} obs/s "
@@ -343,6 +338,7 @@ def _cmd_bench(args) -> int:
     print(
         f"  plan engine    : B=1 eager {plan_b1['eager_ms']:.3f}ms vs "
         f"plan {plan_b1['plan_ms']:.3f}ms ({plan_b1['speedup']:.2f}x, "
+        f"IQR {plan_b1['speedup_iqr'][0]:.2f}..{plan_b1['speedup_iqr'][1]:.2f}x, "
         f"gate >={plan['gate']}x); {plan['plan_ops']} ops, "
         f"{plan['plan_folded']} folded, arena {plan['arena_kb']:.1f}KB, "
         f"build {plan['build_ms']:.1f}ms"

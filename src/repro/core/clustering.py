@@ -36,6 +36,7 @@ import numpy as np
 
 from repro import autograd as ag
 from repro.autograd import Tensor
+from repro.autograd.select_ops import declare, temporary
 from repro.autograd.tensor import get_default_dtype
 from repro.data.segments import segment_series
 from repro.optim import AdamW
@@ -82,10 +83,24 @@ def _bucket_sums(labels: np.ndarray, row_sets: list, k: int) -> list[np.ndarray]
     return sums
 
 
-def _centre(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-centred segments and their ``(n, 1)`` L2 norms."""
-    centred = segments - segments.mean(axis=1, keepdims=True)
-    return centred, np.linalg.norm(centred, axis=1, keepdims=True)
+def _centre(segments: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """Row-centred segments and their ``(n, 1)`` L2 norms.
+
+    The ufuncs ``segments.mean(axis=1, keepdims=True)`` and
+    ``np.linalg.norm(centred, axis=1, keepdims=True)`` run, in the same
+    order, so both are bit-identical to those calls; ``work`` (see
+    :func:`composite_distance`) supplies their buffers.
+    """
+    n, p = segments.shape
+    dtype = segments.dtype
+    mean = np.add.reduce(
+        segments, axis=1, keepdims=True, out=temporary(work, "mean", (n, 1), dtype)
+    )
+    np.true_divide(mean, p, out=mean)
+    centred = np.subtract(segments, mean, out=temporary(work, "centred", (n, p), dtype))
+    square = np.multiply(centred, centred, out=temporary(work, "square", (n, p), dtype))
+    norms = np.add.reduce(square, axis=1, keepdims=True, out=mean)
+    return centred, np.sqrt(norms, out=norms)
 
 
 def _pearson(
@@ -93,6 +108,7 @@ def _pearson(
     norms: np.ndarray,
     prototypes: np.ndarray,
     out: np.ndarray | None = None,
+    work=None,
 ) -> np.ndarray:
     """Clipped Pearson correlation, ``(n, k)``, written into ``out`` if given.
 
@@ -102,13 +118,18 @@ def _pearson(
     """
     pro, pro_norm = _centre(prototypes)
     corr = np.matmul(centred, pro.T, out=out)
-    denom = norms * pro_norm.T
-    flat = ~(denom > 1e-12)
+    denom = np.multiply(
+        norms, pro_norm.T, out=temporary(work, "denom", corr.shape, corr.dtype)
+    )
+    flat = np.greater(denom, 1e-12, out=temporary(work, "flat", corr.shape, bool))
+    np.logical_not(flat, out=flat)
     np.maximum(denom, 1e-12, out=denom)
     with np.errstate(invalid="ignore", divide="ignore"):
         corr /= denom
     corr[flat] = 0.0
-    return np.clip(corr, -1.0, 1.0, out=corr)
+    # np.clip(corr, -1, 1), NaN included, without its dispatch wrapper.
+    np.maximum(corr, -1.0, out=corr)
+    return np.minimum(corr, 1.0, out=corr)
 
 
 def pearson_rows(segments: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -130,17 +151,25 @@ class _SegmentTerms:
     :func:`composite_distance`.  Unit rows are derived on demand rather
     than kept: a batched fit holds every set's terms at once, and one
     more ``(n, p)`` array per set showed up in the worker's peak RSS.
+    ``work`` (see :func:`composite_distance`) supplies the buffers.
     """
 
-    def __init__(self, segments: np.ndarray):
+    def __init__(self, segments: np.ndarray, work=None):
         self.segments = segments
-        self.sq = (segments**2).sum(axis=1, keepdims=True)
+        self.work = work
+        n, p = segments.shape
+        square = np.multiply(
+            segments, segments, out=temporary(work, "square", (n, p), segments.dtype)
+        )
+        self.sq = np.add.reduce(
+            square, axis=1, keepdims=True, out=temporary(work, "sq", (n, 1), segments.dtype)
+        )
         self._centred: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def centred(self) -> tuple[np.ndarray, np.ndarray]:
         if self._centred is None:
-            self._centred = _centre(self.segments)
+            self._centred = _centre(self.segments, self.work)
         return self._centred
 
     def unit(self) -> np.ndarray:
@@ -148,25 +177,33 @@ class _SegmentTerms:
         centred, norms = self.centred
         return centred / np.where(norms < 1e-12, 1.0, norms)
 
-    def distance(self, prototypes: np.ndarray, alpha: float) -> np.ndarray:
+    def distance(
+        self, prototypes: np.ndarray, alpha: float, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Eq. (13) of every segment vs every prototype, ``(n, k)``.
 
         The ufuncs of the plain expression
         ``max(sq + pro_sq - (2 S) @ C^T, 0) + alpha * (1 - corr)``
         run in the same order, but write into two ``(n, k)`` buffers
-        instead of allocating a temporary per step, so every entry is
-        bit-identical to it.  ``(2 S) @ C^T`` equals ``2 (S @ C^T)``
-        exactly: doubling is exact, also inside the products and sums.
+        (``out`` and a temporary) instead of allocating one per step, so
+        every entry is bit-identical to it.  ``(2 S) @ C^T`` equals
+        ``2 (S @ C^T)`` exactly: doubling is exact, also inside the
+        products and sums.
         """
-        pro_sq = (prototypes**2).sum(axis=1)
-        cross = np.matmul(self.segments, prototypes.T)
+        shape = (len(self.segments), len(prototypes))
+        pro_sq = np.add.reduce(np.multiply(prototypes, prototypes), axis=1)
+        cross = np.matmul(
+            self.segments,
+            prototypes.T,
+            out=temporary(self.work, "cross", shape, self.segments.dtype),
+        )
         cross *= 2.0
-        distance = np.add(self.sq, pro_sq[None, :])
+        distance = np.add(self.sq, pro_sq[None, :], out=out)
         distance -= cross
         np.maximum(distance, 0.0, out=distance)
         if alpha == 0.0:
             return distance
-        corr = _pearson(*self.centred, prototypes, out=cross)
+        corr = _pearson(*self.centred, prototypes, out=cross, work=self.work)
         np.subtract(1.0, corr, out=corr)
         corr *= alpha
         distance += corr
@@ -174,10 +211,31 @@ class _SegmentTerms:
 
 
 def composite_distance(
-    segments: np.ndarray, prototypes: np.ndarray, alpha: float
+    segments: np.ndarray,
+    prototypes: np.ndarray,
+    alpha: float,
+    out: np.ndarray | None = None,
+    work=None,
 ) -> np.ndarray:
-    """Eq. (13): squared Euclidean plus ``alpha * (1 - Pearson)``, ``(n, k)``."""
-    return _SegmentTerms(segments).distance(prototypes, alpha)
+    """Eq. (13): squared Euclidean plus ``alpha * (1 - Pearson)``.
+
+    ``(..., p)`` segments against ``(k, p)`` prototypes give ``(..., k)``
+    distances.  This is also the forward of :data:`distance_op`, the
+    traced op ProtoAttn assigns with: a compiled plan passes an arena
+    buffer as ``out`` and, as ``work``, pooled buffers for every
+    temporary; eager callers pass neither.
+    """
+    flat = segments.reshape(-1, segments.shape[-1])
+    terms = _SegmentTerms(flat, work)
+    if out is None:
+        distance = terms.distance(prototypes, alpha)
+        return distance.reshape(*segments.shape[:-1], len(prototypes))
+    terms.distance(prototypes, alpha, out.reshape(len(flat), -1))
+    return out
+
+
+#: :func:`composite_distance` as a traced, non-differentiable op.
+distance_op = declare("composite_distance", composite_distance)
 
 
 def _pearson_tensor(segments: np.ndarray, prototype: Tensor) -> Tensor:

@@ -147,24 +147,6 @@ class DualBranchExtractor(Module):
             [DeepProtoBlock(k, d_model) for _ in range(n_layers - 1)]
         )
 
-    @staticmethod
-    def _routing(mixer, tokens: Tensor):
-        """Layer-1 assignment reused by the deep blocks.
-
-        Plain ndarray normally; under graph capture it becomes a custom
-        node so plan replays recompute the routing from the replayed
-        tokens instead of freezing one input's assignment.
-        """
-        routing = mixer.assignment_weights(tokens.data)
-        capture = ag.active_capture()
-        if capture is None:
-            return routing
-
-        def replay(srcs, out, scratch, extras, mixer=mixer):
-            return mixer.assignment_weights(srcs[0])
-
-        return capture.custom("deep_routing", routing, (tokens,), replay)
-
     def forward(self, segments: Tensor) -> tuple[Tensor, Tensor]:
         if segments.ndim != 4 or segments.shape[-1] != self.segment_length:
             raise ValueError(
@@ -181,7 +163,7 @@ class DualBranchExtractor(Module):
         h_t = self.norm_t(mixed_t + residual_t)
         h_t = self.norm_t2(h_t + self.ffn_t2(self.ffn_act(self.ffn_t1(h_t))))
         if len(self.deep_t):
-            routing_t = self._routing(self.temporal_mixer, temporal_tokens)
+            routing_t = self.temporal_mixer.routing(temporal_tokens)
             for block in self.deep_t:
                 h_t = block(h_t, routing_t)
         h_t = h_t.reshape(batch, num_entities, n_segments, self.d_model)
@@ -196,7 +178,7 @@ class DualBranchExtractor(Module):
         h_e = self.norm_e(mixed_e + residual_e)
         h_e = self.norm_e2(h_e + self.ffn_e2(self.ffn_act(self.ffn_e1(h_e))))
         if len(self.deep_e):
-            routing_e = self._routing(self.entity_mixer, entity_tokens)
+            routing_e = self.entity_mixer.routing(entity_tokens)
             for block in self.deep_e:
                 h_e = block(h_e, routing_e)
         h_e = h_e.reshape(batch, n_segments, num_entities, self.d_model)

@@ -92,6 +92,15 @@ def plan_chunks(batch: int, cap: int) -> list[int]:
     return chunks
 
 
+def _prototype_bank(prototypes: np.ndarray, config: FOCUSConfig) -> np.ndarray:
+    """``prototypes`` as a ``(k, p)`` array of the default dtype."""
+    prototypes = np.asarray(prototypes, dtype=get_default_dtype())
+    expected = (config.num_prototypes, config.segment_length)
+    if prototypes.shape != expected:
+        raise ValueError(f"prototypes shape {prototypes.shape} != expected {expected}")
+    return prototypes
+
+
 def _replay_chunks(chunks: list, prediction: np.ndarray) -> None:
     """Replay ``FOCUSForecaster._chunk_plans`` chunks into ``prediction``.
 
@@ -148,12 +157,7 @@ class FOCUSForecaster(Module):
             )
             self._has_prototypes = mixer != "proto"
         else:
-            prototypes = np.asarray(prototypes, dtype=get_default_dtype())
-            expected = (config.num_prototypes, config.segment_length)
-            if prototypes.shape != expected:
-                raise ValueError(
-                    f"prototypes shape {prototypes.shape} != expected {expected}"
-                )
+            prototypes = _prototype_bank(prototypes, config)
             self._has_prototypes = True
         if config.use_revin:
             self.revin = RevIN(config.num_entities, affine=True)
@@ -203,12 +207,11 @@ class FOCUSForecaster(Module):
         return clusterer
 
     def set_prototypes(self, prototypes: np.ndarray) -> None:
-        prototypes = np.asarray(prototypes, dtype=get_default_dtype())
+        """Overwrite the ``(k, p)`` prototype bank of both mixers in place."""
+        prototypes = _prototype_bank(prototypes, self.config)
         for mixer in (self.extractor.temporal_mixer, self.extractor.entity_mixer):
             if hasattr(mixer, "prototypes"):
                 mixer.prototypes[...] = prototypes
-                if hasattr(mixer, "invalidate_cache"):
-                    mixer.invalidate_cache()
         self._has_prototypes = True
         self._prototype_version += 1
 
@@ -275,12 +278,19 @@ class FOCUSForecaster(Module):
         # mixer's live dictionary, and writing the first mixer's row
         # must not change what the second mixer receives.
         value = np.array(value, copy=True)
+        cfg = self.config
+        if value.shape != (cfg.segment_length,):
+            raise ValueError(
+                f"prototype row shape {value.shape} != expected ({cfg.segment_length},)"
+            )
+        if not 0 <= index < cfg.num_prototypes:
+            raise IndexError(
+                f"prototype index {index} outside [0, {cfg.num_prototypes})"
+            )
         for mixer in (self.extractor.temporal_mixer, self.extractor.entity_mixer):
             # Row assignment below casts to each mixer's prototype dtype.
             if hasattr(mixer, "prototypes"):
                 mixer.prototypes[index] = value
-                if hasattr(mixer, "invalidate_cache"):
-                    mixer.invalidate_cache()
         self._prototype_version += 1
 
     @classmethod
@@ -335,11 +345,6 @@ class FOCUSForecaster(Module):
         model.load_state_dict(snapshot["state"])
         model._has_prototypes = True
         model._prototype_version = snapshot["prototype_version"]
-        # The ProtoAttn C_Q cache was primed against placeholder
-        # prototypes during construction; drop it.
-        for mixer in (model.extractor.temporal_mixer, model.extractor.entity_mixer):
-            if hasattr(mixer, "invalidate_cache"):
-                mixer.invalidate_cache()
         model.eval()
         return model
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from repro import autograd as ag
 from repro.autograd import Tensor
+from repro.autograd.select_ops import argmin, one_hot, softmin, take_rows
 from repro.autograd.tensor import get_default_dtype
-from repro.core.clustering import composite_distance
-from repro.engine.plan import scratch_buffer
+from repro.core.clustering import composite_distance, distance_op
 from repro.nn import Linear, Module
 from repro.profiling.counter import active_counter
 
@@ -46,11 +46,18 @@ class ProtoAttn(Module):
 
     Input ``(B, l, p)`` raw segments; output ``(B, l, d_model)``.  After an
     eager forward pass :attr:`last_assignment_` holds the ``(B, l)``
-    prototype indices and :attr:`last_attention_` the ``(B, k, l)``
+    nearest-prototype indices and :attr:`last_attention_` the ``(B, k, l)``
     attention map (both plain ndarrays), which the paper's Fig. 13
     analysis multiplies together to visualize learned long-range
     dependencies.  Plan replays leave both untouched: they may run on
     several threads at once.
+
+    The whole forward is traced like any other layer: the prototype
+    bank enters as a live leaf (:func:`repro.autograd.live`) and the
+    assignment is a chain of non-differentiable ops
+    (:mod:`repro.autograd.select_ops`), so a compiled plan recomputes
+    ``C_Q = W_E(C)`` and the assignment from the bank's current values
+    on every replay.
     """
 
     def __init__(
@@ -81,65 +88,36 @@ class ProtoAttn(Module):
         self.w_v = Linear(p, d_model, bias=False)
         self.last_assignment_: np.ndarray | None = None
         self.last_attention_: np.ndarray | None = None
-        # Inference cache for C_Q = W_E(C): prototypes are fixed online, so
-        # the projection is recomputed only when W_E or C actually change.
-        # Tuple of (W_E snapshot, prototype snapshot, projected queries).
-        self._query_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # Bumped by invalidate_cache(); compiled plans key their cached
-        # prototype statistics on it (see _replay_distances).
-        self._generation = 0
-
-    def invalidate_cache(self) -> None:
-        """Drop every cache derived from the prototype buffer.
-
-        Called after the prototypes are written in place
-        (``set_prototypes`` / ``update_prototype``): clears the eager
-        query-projection cache and bumps the generation that compiled
-        plans check before reusing their prototype statistics.
-        """
-        self._query_cache = None
-        self._generation += 1
-
-    def _proto_queries(self) -> Tensor:
-        """C_Q = W_E(C), cached between inference forwards.
-
-        Staleness is detected by value comparison against small snapshots
-        of W_E and the prototypes (both are mutated in place by the
-        optimizer / ``load_state_dict`` / streaming adaptation, so object
-        identity cannot be trusted).  Only used with gradients disabled —
-        training forwards must build the graph so W_E receives gradients.
-        """
-        weight = self.w_e.weight.data
-        cache = self._query_cache
-        if (
-            cache is None
-            or not np.array_equal(cache[0], weight)
-            or not np.array_equal(cache[1], self.prototypes)
-        ):
-            projected = self.w_e(Tensor(self.prototypes)).data
-            cache = (weight.copy(), self.prototypes.copy(), projected)
-            self._query_cache = cache
-        return Tensor(cache[2])
 
     def assign(self, segments: np.ndarray) -> np.ndarray:
         """Hard-assign ``(..., p)`` segments to nearest prototypes."""
-        flat = segments.reshape(-1, self.segment_length)
-        labels = composite_distance(flat, self.prototypes, self.alpha).argmin(axis=1)
-        return labels.reshape(segments.shape[:-1])
+        return composite_distance(segments, self.prototypes, self.alpha).argmin(axis=-1)
 
     def assignment_weights(self, segments: np.ndarray) -> np.ndarray:
         """Assignment matrix ``A``: one-hot (hard) or softmax (soft)."""
-        flat = segments.reshape(-1, self.segment_length)
-        distances = composite_distance(flat, self.prototypes, self.alpha)
+        distances = composite_distance(segments, self.prototypes, self.alpha)
+        return self._weights(Tensor(distances)).data
+
+    def routing(self, segments: Tensor, distances: Tensor | None = None) -> Tensor:
+        """Assignment matrix ``A`` of ``(B, l, p)`` segments, ``(B, l, k)``.
+
+        Traced ops on the live prototype bank (``distances`` are the
+        segments' composite distances when the caller has them).  An
+        instance-level :meth:`assignment_weights` override — the
+        knockout attribution patches one in — routes instead.
+        """
+        if "assignment_weights" in self.__dict__:
+            return Tensor(self.assignment_weights(segments.data))
+        if distances is None:
+            distances = distance_op(segments, ag.live(self.prototypes), alpha=self.alpha)
+        return self._weights(distances)
+
+    def _weights(self, distances: Tensor) -> Tensor:
         if self.assignment_mode == "hard":
-            weights = np.zeros_like(distances)
-            weights[np.arange(len(flat)), distances.argmin(axis=1)] = 1.0
-        else:
-            logits = -distances / self.temperature
-            logits -= logits.max(axis=1, keepdims=True)
-            weights = np.exp(logits)
-            weights /= weights.sum(axis=1, keepdims=True)
-        return weights.reshape(*segments.shape[:-1], self.num_prototypes)
+            return one_hot(
+                argmin(distances), num_classes=self.num_prototypes, dtype=distances.dtype
+            )
+        return softmin(distances, temperature=self.temperature)
 
     def forward(self, segments: Tensor) -> Tensor:
         if segments.ndim != 3 or segments.shape[-1] != self.segment_length:
@@ -148,16 +126,13 @@ class ProtoAttn(Module):
             )
         batch, n_segments, _ = segments.shape
 
-        capture = ag.active_capture()
-        if capture is not None:
-            return self._forward_captured(segments, capture)
-
-        # Assignment matrix A (non-differentiable; Algorithm 2 l.1-4).
-        # Hard mode (the paper) routes one-hot; soft mode is an extension.
-        assignment = self.assignment_weights(segments.data)  # (B, l, k)
+        # Nearest prototype under Eq. (13) (Algorithm 2 l.1-4).
+        prototypes = ag.live(self.prototypes)
+        distances = distance_op(segments, prototypes, alpha=self.alpha)  # (B, l, k)
+        labels = argmin(distances)  # (B, l)
         # Gather with the local labels, never by reading the attribute
         # back: another thread's forward may rewrite it in between.
-        labels = self.last_assignment_ = assignment.argmax(axis=-1)
+        self.last_assignment_ = labels.data
         counter = active_counter()
         if counter is not None:
             # Nearest-prototype search (Sec. VI-B complexity analysis): the
@@ -172,13 +147,8 @@ class ProtoAttn(Module):
                 cost += 2 * unit
             counter.add_flops(cost, label="proto_assignment")
 
-        # Eq. (14): projections.  Prototypes are fixed during inference, so
-        # C_Q is served from the cache when gradients are off; profiled
-        # runs recompute so FLOP accounting stays deterministic.
-        if ag.is_grad_enabled() or counter is not None:
-            proto_queries = self.w_e(Tensor(self.prototypes))  # (k, d)
-        else:
-            proto_queries = self._proto_queries()  # (k, d), cached
+        # Eq. (14): projections.
+        proto_queries = self.w_e(prototypes)  # (k, d)
         keys = self.w_k(segments)  # (B, l, d)
         values = self.w_v(segments)  # (B, l, d)
 
@@ -204,189 +174,8 @@ class ProtoAttn(Module):
             # instance-level assignment_weights override (the knockout
             # attribution monkeypatches it) keeps it so the patched
             # matrix actually routes.
-            gathered = np.take_along_axis(proto_context.data, labels[:, :, None], axis=1)
-            return Tensor(gathered)
-        return ag.matmul(Tensor(assignment), proto_context)  # (B, l, d)
-
-    # ------------------------------------------------------------------
-    # Plan-engine capture (repro.engine)
-    # ------------------------------------------------------------------
-    def _forward_captured(self, segments: Tensor, capture) -> Tensor:
-        """Forward under graph capture, with replayable data dependence.
-
-        The assignment matrix and the hard-routing gather are computed
-        from the *traced input's* values, so they must not be baked into
-        the plan: both are recorded as custom nodes whose replay
-        closures recompute the nearest-prototype search from the live
-        ``prototypes`` buffer and the replayed segments.  The prototype
-        query projection is a custom node too, recomputed from the live
-        buffers whenever the prototypes were rewritten in place, so a
-        plan stays valid across a swap (a swap never retraces).
-        """
-        assignment = self.assignment_weights(segments.data)  # (B, l, k)
-        labels = self.last_assignment_ = assignment.argmax(axis=-1)
-        proto_queries = capture.custom(
-            "protoattn_queries",
-            self._replay_queries((), None, {}, None),
-            (),
-            self._replay_queries,
-        )  # (k, d)
-        keys = self.w_k(segments)  # (B, l, d)
-        values = self.w_v(segments)  # (B, l, d)
-        scores = ag.matmul(proto_queries, ag.swapaxes(keys, -1, -2))  # (B, k, l)
-        scores = scores * float(1.0 / np.sqrt(self.d_model))
-        attention = ag.softmax(scores, axis=-1)
-        self.last_attention_ = attention.data
-        proto_context = ag.matmul(attention, values)  # (B, k, d)
-        if (
-            not ag.is_grad_enabled()
-            and self.assignment_mode == "hard"
-            and "assignment_weights" not in self.__dict__
-        ):
-            # Same gather fast path as the eager inference branch.
-            gathered = np.take_along_axis(proto_context.data, labels[:, :, None], axis=1)
-            return capture.custom(
-                "protoattn_gather",
-                gathered,
-                (segments, proto_context),
-                self._replay_gather,
-            )
-        routed = capture.custom(
-            "protoattn_assign", assignment, (segments,), self._replay_assignment
-        )
-        return ag.matmul(routed, proto_context)  # (B, l, d)
-
-    def _replay_queries(self, srcs, out, scratch, extras):
-        """C_Q = W_E(C) from the live weight and prototype buffers.
-
-        The same ``prototypes @ weight.T`` the eager ``Linear`` runs,
-        recomputed whenever :attr:`_generation` has moved since this
-        arena last computed it (like the statistics in
-        :meth:`_replay_distances`), so it is never stale after an
-        in-place prototype write.  Weights, as everywhere in a plan, are
-        assumed not to change in place.
-        """
-        generation = self._generation
-        cached = scratch.get("queries")
-        if cached is None or cached[0] != generation:
-            queries = np.matmul(self.prototypes, self.w_e.weight.data.T)
-            cached = scratch["queries"] = (generation, queries)
-        return cached[1]
-
-    def _replay_gather(self, srcs, out, scratch, extras):
-        """Replay the hard-assignment gather from live prototypes.
-
-        Labels come straight from the distance argmin — identical to
-        eager's argmax over the one-hot assignment matrix (the one-hot
-        is set exactly at the argmin index, NaN rows included), without
-        materializing the matrix eager never uses on this path.  The
-        distances themselves come from :meth:`_replay_distances`, a
-        scratch-buffered replica of :func:`composite_distance`.
-        """
-        segments, proto_context = srcs
-        flat = segments.reshape(-1, self.segment_length)
-        distances = self._replay_distances(flat, scratch)
-        labels = distances.argmin(axis=1).reshape(segments.shape[:-1])
-        # Row gather: same values as eager's take_along_axis with the
-        # labels broadcast along the feature axis, via the cheaper
-        # integer-index path (a pure copy either way).
-        rows = scratch.get("rows")
-        if rows is None or rows.shape[0] != labels.shape[0]:
-            rows = scratch["rows"] = np.arange(labels.shape[0])[:, None]
-        return proto_context[rows, labels]
-
-    def _replay_distances(self, flat: np.ndarray, scratch: dict) -> np.ndarray:
-        """``composite_distance(flat, self.prototypes, self.alpha)``
-        through preallocated scratch buffers.
-
-        Every ufunc matches :func:`composite_distance` /
-        :func:`pearson_rows` step for step — same operations, same
-        operand order — so the distances (and therefore the argmin
-        labels) are bitwise identical to the eager path; the scratch
-        only removes temporary allocations and numpy dispatch overhead.
-        Prototype-derived statistics are cached per arena and keyed on
-        :attr:`_generation`, which :meth:`invalidate_cache` bumps after
-        every in-place prototype write.  The generation is read *before*
-        the prototype values: a write landing in between leaves the
-        statistics stamped with the old generation, so the next replay
-        recomputes them.  The compile-time self-check in
-        :func:`repro.engine.compile_plan` verifies the equivalence on
-        every trace.
-        """
-        generation = self._generation
-        prototypes = self.prototypes
-        alpha = self.alpha
-        stats = scratch.get("stats")
-        if stats is None or stats[0] != generation:
-            pro_centered = prototypes - prototypes.mean(axis=1, keepdims=True)
-            # (pro**2).sum(axis=1)[None, :] and the transposed views used
-            # by the eager matmuls (``x @ w.T`` keeps w.T as an F-order
-            # view, so the cached views match its layout).
-            stats = scratch["stats"] = (
-                generation,
-                (prototypes**2).sum(axis=1)[None, :],
-                prototypes.T,
-                pro_centered.T,
-                np.linalg.norm(pro_centered, axis=1, keepdims=True).T,
-            )
-        _, pro_sq, prototypes_t, pro_centered_t, pro_norm_t = stats
-        n = flat.shape[0]
-        state = scratch.get("assign")
-        if state is None or state["n"] != n or state["dtype"] != flat.dtype:
-            k, p = prototypes.shape
-            dt = flat.dtype
-            shapes = {
-                "sq": (n, p), "red": (n, 1), "centered": (n, p), "cross": (n, k),
-                "dist": (n, k), "numer": (n, k), "denom": (n, k), "mask": (n, k),
-            }
-            # Pure temporaries of this call, so both mixers (and every
-            # plan on the thread) share them through the engine's pool.
-            state = {
-                name: scratch_buffer(
-                    f"protoattn.{name}", shape, bool if name == "mask" else dt
-                )
-                for name, shape in shapes.items()
-            }
-            state.update(n=n, dtype=dt)
-            scratch["assign"] = state
-
-        # Squared-Euclidean term: seg_sq + pro_sq[None, :] - 2.0 * x @ P.T,
-        # clamped at zero (composite_distance, first half).
-        sq = np.multiply(flat, flat, out=state["sq"])  # flat**2
-        seg_sq = np.add.reduce(sq, axis=1, keepdims=True, out=state["red"])
-        cross = np.matmul(flat, prototypes_t, out=state["cross"])
-        dist = np.add(seg_sq, pro_sq, out=state["dist"])
-        np.multiply(cross, 2.0, out=cross)
-        np.subtract(dist, cross, out=dist)
-        np.maximum(dist, 0.0, out=dist)
-        if alpha == 0.0:
-            return dist
-
-        # Pearson term (pearson_rows): center rows, normalize, correlate.
-        mean = np.add.reduce(flat, axis=1, keepdims=True, out=state["red"])
-        np.true_divide(mean, flat.shape[1], out=mean)  # flat.mean(axis=1, ...)
-        centered = np.subtract(flat, mean, out=state["centered"])
-        sq = np.multiply(centered, centered, out=state["sq"])
-        seg_norm = np.add.reduce(sq, axis=1, keepdims=True, out=state["red"])
-        np.sqrt(seg_norm, out=seg_norm)  # np.linalg.norm(seg, axis=1, ...)
-        numer = np.matmul(centered, pro_centered_t, out=state["numer"])
-        denom = np.matmul(seg_norm, pro_norm_t, out=state["denom"])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mask = np.greater(denom, 1e-12, out=state["mask"])
-            np.maximum(denom, 1e-12, out=denom)
-            np.true_divide(numer, denom, out=numer)
-        # np.where(denom > 1e-12, ..., 0.0): zero the rejected entries.
-        np.logical_not(mask, out=mask)
-        np.copyto(numer, 0.0, where=mask)
-        np.clip(numer, -1.0, 1.0, out=numer)
-        # euclidean_sq + alpha * (1.0 - corr)
-        np.subtract(1.0, numer, out=numer)
-        np.multiply(alpha, numer, out=numer)
-        return np.add(dist, numer, out=dist)
-
-    def _replay_assignment(self, srcs, out, scratch, extras):
-        """Replay the (soft or overridden) assignment matrix."""
-        return self.assignment_weights(srcs[0])
+            return take_rows(proto_context, labels)
+        return ag.matmul(self.routing(segments, distances), proto_context)  # (B, l, d)
 
     def dependency_matrix(self) -> np.ndarray:
         """``A @ attention`` from the last forward: ``(B, l, l)``.

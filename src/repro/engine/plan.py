@@ -17,16 +17,18 @@ arithmetic, so a float64 replay is bit-identical to the eager forward
 (``tests/plan`` pins this, and every compile self-checks against the
 traced output before the plan is returned).
 
-**Constant folding with live views.**  Any node whose ancestors are all
-input-independent leaves is folded to the value captured at trace time;
-pure view nodes over parameters (e.g. ``weight.T``) keep referencing the
-live arrays.  Values that must track in-place buffer writes are custom
-nodes instead, which always replay: ProtoAttn recomputes its prototype
-query projection and prototype statistics from the live prototype
-buffer, so :class:`~repro.core.model.FOCUSForecaster` keeps its plans
-across ``set_prototypes`` / ``update_prototype``.  Mutating other
-parameters in place without retracing is **not** supported while a plan
-is cached; ``to_dtype`` (which replaces every array) evicts the plans.
+**Constant folding with live leaves.**  Any node whose ancestors are
+all input-independent leaves is folded to the value captured at trace
+time; pure view nodes over parameters (e.g. ``weight.T``) keep
+referencing the live arrays.  A *live* leaf
+(:func:`repro.autograd.live`) is held by reference but never folded
+through: ProtoAttn wraps its prototype bank as one, so the query
+projection ``W_E(C)`` and the prototype side of the assignment distance
+are recomputed from the bank's current values on every replay, and
+:class:`~repro.core.model.FOCUSForecaster` keeps its plans across
+``set_prototypes`` / ``update_prototype``.  Mutating other parameters in
+place without retracing is **not** supported while a plan is cached;
+``to_dtype`` (which replaces every array) evicts the plans.
 
 **Arena reuse.**  Output buffers are assigned by liveness (linear-scan
 over the flat op list, views extending their root storage's lifetime),
@@ -49,6 +51,7 @@ import numpy as np
 from scipy import special as _special
 
 from repro.autograd.capture import CapturedNode, GraphCapture
+from repro.autograd.select_ops import FORWARDS
 from repro.autograd.tensor import Tensor
 
 _SQRT_2 = float(np.sqrt(2.0))
@@ -87,6 +90,8 @@ class PlanUnsupportedError(PlanError):
 # same operand order.  When numpy's operator fast paths could differ
 # from an explicit ufunc call (ndarray.__pow__, fancy indexing), the
 # kernel evaluates the eager expression verbatim instead of using out=.
+# The declared ops of repro.autograd.select_ops need no kernel here:
+# their one forward runs as an "out" kernel (see _declared).
 # ----------------------------------------------------------------------
 _KERNELS: dict[str, tuple[Callable, str]] = {}
 
@@ -136,18 +141,34 @@ def _k_softplus(srcs, out, scratch, extras):
     return np.logaddexp(0.0, srcs[0], out=out)
 
 
-def _scratch_like(scratch: dict, key: str, ref: np.ndarray) -> np.ndarray:
-    buf = scratch.get(key)
-    if buf is None or buf.shape != ref.shape or buf.dtype != ref.dtype:
-        buf = scratch[key] = scratch_buffer(key, ref.shape, ref.dtype)
-    return buf
+class _Scratch(dict):
+    """A step's scratch state (one per step per arena).
+
+    ``scratch[name, shape, dtype]`` is the step's temporary of that spec,
+    drawn once from the thread's pool (:func:`scratch_buffer`) and kept
+    here so it stays pooled.  Declared ops receive it as ``work``.
+    """
+
+    def __missing__(self, key):
+        buf = self[key] = scratch_buffer(*key)
+        return buf
+
+
+def _declared(forward: Callable) -> Callable:
+    """Kernel of a declared op: its forward, writing into the arena
+    buffer, with its temporaries from the step's scratch."""
+
+    def kernel(srcs, out, scratch, extras):
+        return forward(*srcs, out=out, work=scratch, **extras)
+
+    return kernel
 
 
 @_register("gelu", "ew")
 def _k_gelu(srcs, out, scratch, extras):
     # Eager: cdf = 0.5 * (1.0 + erf(x / sqrt(2))); out = x * cdf
     x = srcs[0]
-    t = _scratch_like(scratch, "t", x)
+    t = scratch["t", x.shape, x.dtype]
     np.true_divide(x, _SQRT_2, out=t)
     _special.erf(t, out=t)
     np.add(1.0, t, out=t)
@@ -158,7 +179,7 @@ def _k_gelu(srcs, out, scratch, extras):
 @_register("silu", "ew")
 def _k_silu(srcs, out, scratch, extras):
     x = srcs[0]
-    t = _scratch_like(scratch, "t", x)
+    t = scratch["t", x.shape, x.dtype]
     _special.expit(x, out=t)
     return np.multiply(x, t, out=out)
 
@@ -425,14 +446,16 @@ class ExecutionPlan:
         """Per-thread state: value slots plus fully-resolved step tuples.
 
         Buffers and scratch dicts are bound into the step tuples once,
-        so the replay loop does no per-step buffer indexing.  View steps
-        whose source is *stable* — the same ndarray object on every
-        replay (an arena buffer or a baked constant; ``ew``/``out``
-        kernels always return their ``out`` buffer) — are executed once
-        here and dropped from the replay loop entirely: a view of a
-        fixed array is itself a fixed array, only its contents change.
-        A reshape that silently copies is detected (``shares_memory``)
-        and kept as a live step so stale contents are never frozen.
+        so the replay loop does no per-step buffer indexing.  A source
+        is *stable* when it is the same ndarray object on every replay
+        (an arena buffer, a baked constant or a live leaf; ``ew``/``out``
+        kernels always return their ``out`` buffer).  View steps over a
+        stable source are executed once here and dropped from the replay
+        loop entirely: a view of a fixed array is itself a fixed array,
+        only its contents change.  A reshape that silently copies is
+        detected (``shares_memory``) and kept as a live step so stale
+        contents are never frozen.  A step whose sources are all stable
+        gets its argument list built once, here, instead of per replay.
         """
         values = list(self._template)
         buffers = _pooled_buffers(self._buffer_specs)
@@ -452,13 +475,14 @@ class ExecutionPlan:
                     stable[out_slot] = view
                     continue
             out_buf = None if buf is None else buffers[buf]
-            steps.append((kernel, srcs, out_slot, out_buf, {}, extras))
+            args = [stable[j] for j in srcs] if all(j in stable for j in srcs) else None
+            steps.append((kernel, args, srcs, out_slot, out_buf, _Scratch(), extras))
             if out_buf is not None:
                 stable[out_slot] = out_buf
         # Slots a replay fills with arrays of its own (the inputs, fresh
         # results and views of them), cleared after each replay so they
         # do not hold memory until the next one.
-        transient = self._input_slots + [step[2] for step in steps if step[3] is None]
+        transient = self._input_slots + [step[3] for step in steps if step[4] is None]
         transient = tuple(slot for slot in transient if slot != self._output_slot)
         return (values, tuple(steps), transient)
 
@@ -488,9 +512,9 @@ class ExecutionPlan:
         values, steps, transient = arena
         for slot, array in zip(self._input_slots, arrays):
             values[slot] = array
-        for kernel, srcs, out_slot, out_buf, scratch, extras in steps:
+        for kernel, args, srcs, out_slot, out_buf, scratch, extras in steps:
             values[out_slot] = kernel(
-                [values[j] for j in srcs], out_buf, scratch, extras
+                args or [values[j] for j in srcs], out_buf, scratch, extras
             )
         result = values[self._output_slot]
         for slot in transient:
@@ -499,15 +523,16 @@ class ExecutionPlan:
 
 
 def _node_kind(node: CapturedNode) -> tuple[Callable, str]:
-    if node.replay is not None:
-        return node.replay, "fresh"
     entry = _KERNELS.get(node.op_name)
-    if entry is None:
+    if entry is not None:
+        return entry
+    forward = FORWARDS.get(node.op_name)
+    if forward is None:
         raise PlanUnsupportedError(
             f"op {node.op_name!r} has no replay kernel; the plan engine "
             f"cannot lower this forward"
         )
-    return entry
+    return _declared(forward), "out"
 
 
 def compile_plan(
@@ -543,28 +568,28 @@ def compile_plan(
     ordered = [n for n in capture.order if id(n.tensor) in needed]
 
     # Reject data-dependent leaves: a Tensor born mid-capture from raw
-    # numpy data (not blessed, not the input) may encode the traced
-    # input's values, which a replay would silently freeze.
+    # numpy data (not blessed, not live, not the input) may encode the
+    # traced input's values, which a replay would silently freeze.
     for node in ordered:
         for parent in node.parents:
             pid = id(parent)
-            if pid in nodes or pid in capture.input_ids:
+            if pid in nodes or pid in capture.input_ids or pid in capture.live_ids:
                 continue
             if pid in capture.births and pid not in capture.blessed:
                 raise PlanUnsupportedError(
                     f"op {node.op_name!r} consumes a leaf Tensor of shape "
                     f"{parent.shape} created during capture; its value may "
                     f"depend on the traced input and cannot be baked into a "
-                    f"plan (route it through GraphCapture.custom or bless it)"
+                    f"plan (compute it with traced ops, or bless it)"
                 )
 
-    # Dynamic = transitively reachable from an input (custom nodes are
-    # always dynamic: their replay closures read live model state).
+    # Dynamic = transitively reachable from an input or a live leaf.
     dynamic: set[int] = {tid for tid in capture.input_ids if tid in needed}
     if not dynamic:
         raise PlanError("traced output does not depend on any traced input")
+    dynamic |= capture.live_ids & needed
     for node in ordered:
-        if node.replay is not None or any(id(p) in dynamic for p in node.parents):
+        if any(id(p) in dynamic for p in node.parents):
             dynamic.add(id(node.tensor))
     if id(output) not in dynamic:
         raise PlanError("traced output does not depend on any traced input")
@@ -584,9 +609,11 @@ def compile_plan(
         for parent in node.parents:
             pid = id(parent)
             if pid not in slot_of and pid not in nodes:
-                # Leaf: live parameter/buffer/scalar (by reference), or a
-                # dynamic input (placeholder filled per replay).
-                slot_of[pid] = add_slot(None if pid in dynamic else parent.data)
+                # Leaf: parameter/buffer/scalar (by reference), or a
+                # traced input (placeholder filled per replay).
+                slot_of[pid] = add_slot(
+                    None if pid in capture.input_ids else parent.data
+                )
         tid = id(node.tensor)
         if tid in dynamic:
             slot_of[tid] = add_slot(None)
@@ -674,7 +701,7 @@ def compile_plan(
                 buf_of_root[rid] = None
 
         extras = node.extras
-        if node.replay is None and node.op_name in _RESHAPE_LIKE:
+        if node.op_name in _RESHAPE_LIKE:
             extras = out_data.shape
         srcs = tuple(slot_of[id(p)] for p in node.parents)
         ops.append((kernel, srcs, slot_of[tid], buf, extras, kind))

@@ -157,6 +157,44 @@ class TestFOCUSForecaster:
         with pytest.raises(ValueError, match="prototypes shape"):
             FOCUSForecaster(self._config(), prototypes=rng.standard_normal((3, 6)))
 
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (4, 1), (4, 7), (2, 4, 6)])
+    def test_set_prototypes_rejects_wrong_shape(self, rng, shape):
+        """A bank that merely broadcasts to (k, p) is not a bank."""
+        model = FOCUSForecaster(self._config(), prototypes=prototypes(rng))
+        before = model.prototype_values()
+        with pytest.raises(ValueError, match="prototypes shape"):
+            model.set_prototypes(np.ones(shape))
+        assert np.array_equal(model.prototype_values(), before)
+        assert model.prototype_version == 0
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (1, 6), (4, 6)])
+    def test_update_prototype_rejects_wrong_row_shape(self, rng, shape):
+        model = FOCUSForecaster(self._config(), prototypes=prototypes(rng))
+        before = model.prototype_values()
+        with pytest.raises(ValueError, match="row shape"):
+            model.update_prototype(0, np.full(shape, 5.0))
+        assert np.array_equal(model.prototype_values(), before)
+        assert model.prototype_version == 0
+
+    @pytest.mark.parametrize("index", [-1, 4, 100])
+    def test_update_prototype_rejects_index_outside_bank(self, rng, index):
+        """-1 must not wrap to the last row."""
+        model = FOCUSForecaster(self._config(), prototypes=prototypes(rng))
+        before = model.prototype_values()
+        with pytest.raises(IndexError, match="outside"):
+            model.update_prototype(index, np.zeros(6))
+        assert np.array_equal(model.prototype_values(), before)
+
+    def test_prototype_writes_reach_both_mixers(self, rng):
+        model = FOCUSForecaster(self._config(), prototypes=prototypes(rng))
+        bank = rng.standard_normal((4, 6))
+        model.set_prototypes(bank)
+        model.update_prototype(np.int64(3), np.arange(6.0))
+        bank[3] = np.arange(6.0)
+        for mixer in (model.extractor.temporal_mixer, model.extractor.entity_mixer):
+            assert np.array_equal(mixer.prototypes, bank)
+        assert model.prototype_version == 2
+
     def test_forward_without_prototypes_raises(self, rng):
         model = FOCUSForecaster(self._config())
         with pytest.raises(RuntimeError, match="prototypes"):

@@ -1,9 +1,12 @@
 """Tests for ProtoAttn (Sec. VI / Algorithm 2)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro import autograd as ag
+from repro.core.clustering import composite_distance
 from repro.core.protoattn import ProtoAttn
 
 
@@ -34,6 +37,21 @@ class TestForward:
         segments = layer.prototypes[None] + 1e-9
         layer(ag.Tensor(segments))
         assert np.array_equal(layer.last_assignment_[0], np.arange(4))
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_labels_are_composite_distance_argmin(self, rng, grad):
+        """Labels are the nearest prototype under Eq. (13), also for a
+        row with a NaN and for flat (zero-variance) rows."""
+        layer = make_layer(rng)
+        segments = rng.standard_normal((2, 6, 6))
+        segments[0, 1, 3] = np.nan
+        segments[0, 2] = 0.0
+        segments[1, 4] = 1.5
+        with contextlib.nullcontext() if grad else ag.no_grad():
+            layer(ag.Tensor(segments))
+        flat = segments.reshape(-1, 6)
+        expected = composite_distance(flat, layer.prototypes, layer.alpha).argmin(axis=1)
+        assert np.array_equal(layer.last_assignment_, expected.reshape(2, 6))
 
     def test_shared_prototype_shares_output(self, rng):
         """Eq. (19): segments assigned to the same prototype get identical
@@ -92,79 +110,61 @@ class TestLinearComplexity:
             assert layer.last_attention_.shape == (1, 4, length)
 
 
+def _clone(layer):
+    """A fresh layer holding ``layer``'s current weights and prototypes."""
+    clone = ProtoAttn(np.zeros_like(layer.prototypes), d_model=layer.d_model)
+    clone.load_state_dict(layer.state_dict())
+    return clone
+
+
+def _infer(layer, x):
+    with ag.no_grad():
+        return layer(ag.Tensor(x)).data
+
+
 class TestQueryCache:
-    """C_Q = W_E(C) is cached between inference forwards."""
+    """Nothing derived from W_E or the prototype bank is cached: after
+    any in-place write, a forward (and its C_Q = W_E(C)) equals a fresh
+    layer's built from the written state."""
 
-    def test_populated_under_no_grad(self, rng):
+    def test_repeated_forward_identical(self, rng):
         layer = make_layer(rng)
         x = rng.standard_normal((2, 5, 6))
-        assert layer._query_cache is None
-        with ag.no_grad():
-            layer(ag.Tensor(x))
-        assert layer._query_cache is not None
-
-    def test_grad_enabled_forward_bypasses_cache(self, rng):
-        """Training forwards must build the W_E graph, not serve a cache."""
-        layer = make_layer(rng)
-        layer(ag.Tensor(rng.standard_normal((2, 5, 6))))
-        assert layer._query_cache is None
-
-    def test_cached_output_identical_to_fresh(self, rng):
-        layer = make_layer(rng)
-        x = rng.standard_normal((2, 5, 6))
-        with ag.no_grad():
-            first = layer(ag.Tensor(x)).data  # populates the cache
-            cached = layer(ag.Tensor(x)).data  # served from the cache
-        layer.invalidate_cache()
-        with ag.no_grad():
-            fresh = layer(ag.Tensor(x)).data
-        assert np.array_equal(first, cached)
-        assert np.array_equal(cached, fresh)
+        assert np.array_equal(_infer(layer, x), _infer(layer, x))
+        assert np.array_equal(_infer(layer, x), _infer(_clone(layer), x))
 
     def test_inplace_weight_mutation_detected(self, rng):
-        """Optimizer steps mutate W_E in place; the cache must notice."""
+        """Optimizer steps mutate W_E in place."""
         layer = make_layer(rng)
         x = rng.standard_normal((2, 5, 6))
-        with ag.no_grad():
-            stale = layer(ag.Tensor(x)).data
+        stale = _infer(layer, x)
         layer.w_e.weight.data += 0.5  # in-place, object identity unchanged
-        with ag.no_grad():
-            updated = layer(ag.Tensor(x)).data
-        layer.invalidate_cache()
-        with ag.no_grad():
-            fresh = layer(ag.Tensor(x)).data
+        updated = _infer(layer, x)
         assert not np.array_equal(stale, updated)
-        assert np.array_equal(updated, fresh)
+        assert np.array_equal(updated, _infer(_clone(layer), x))
 
     def test_inplace_prototype_mutation_detected(self, rng):
         """Streaming adaptation rewrites prototype rows in place."""
         layer = make_layer(rng)
         x = rng.standard_normal((2, 5, 6))
-        with ag.no_grad():
-            layer(ag.Tensor(x))
+        stale = _infer(layer, x)
         layer.prototypes[0] += 3.0
-        with ag.no_grad():
-            updated = layer(ag.Tensor(x)).data
-        layer.invalidate_cache()
-        with ag.no_grad():
-            fresh = layer(ag.Tensor(x)).data
-        assert np.array_equal(updated, fresh)
+        updated = _infer(layer, x)
+        assert not np.array_equal(stale, updated)
+        assert np.array_equal(updated, _infer(_clone(layer), x))
+        assert np.array_equal(layer.last_assignment_, layer.assign(x))
 
     def test_load_state_dict_served_correctly(self, rng):
-        """Weights restored via load_state_dict must not be shadowed by a
-        projection cached from the previous weights."""
+        """Weights restored via load_state_dict must not be shadowed by
+        anything derived from the previous weights."""
         layer = make_layer(rng)
         x = rng.standard_normal((2, 5, 6))
         state = layer.state_dict()
-        with ag.no_grad():
-            before = layer(ag.Tensor(x)).data
+        before = _infer(layer, x)
         layer.w_e.weight.data += 1.0
-        with ag.no_grad():
-            layer(ag.Tensor(x))  # caches the perturbed projection
+        _infer(layer, x)
         layer.load_state_dict(state)
-        with ag.no_grad():
-            restored = layer(ag.Tensor(x)).data
-        assert np.array_equal(restored, before)
+        assert np.array_equal(_infer(layer, x), before)
 
 
 class TestFlopAccounting:
@@ -190,17 +190,17 @@ class TestFlopAccounting:
         assert flops == 4 * batch * length * k * p
 
     def test_profiled_forward_matches_unprofiled(self, rng):
-        """Profiling recomputes C_Q (deterministic accounting) but the
-        numbers must match the cached inference path exactly."""
+        """Profiled runs route through the one-hot matmul, unprofiled
+        inference through the row gather: the numbers must match."""
         from repro.profiling import count_ops
 
         layer = make_layer(rng)
         x = rng.standard_normal((2, 5, 6))
         with ag.no_grad():
-            cached = layer(ag.Tensor(x)).data
+            gathered = layer(ag.Tensor(x)).data
         with ag.no_grad(), count_ops():
             profiled = layer(ag.Tensor(x)).data
-        assert np.array_equal(cached, profiled)
+        assert np.array_equal(gathered, profiled)
 
 
 class TestDependencyMatrix:

@@ -1,15 +1,16 @@
 """Plan invalidation: no sanctioned mutation can serve a stale replay.
 
-Plans are keyed by ``(input shape, dtype)`` and read the prototype
-buffers live: ``set_prototypes`` / ``update_prototype`` write those
-buffers in place, and ProtoAttn recomputes its query projection and
-re-derives its cached prototype statistics (keyed on a generation that
-every mutation bumps) at replay time.  A swap therefore reuses the same
-plan objects with zero retraces, and only ``to_dtype`` evicts.  The
-property test drives random mutation sequences and re-checks
-bit-equivalence after each step; the structural tests pin the cache
-mechanics and the capture layer's rejection of data-dependent leaves
-(the failure mode that would otherwise allow silent staleness).
+Plans are keyed by ``(input shape, dtype)`` and hold the prototype
+buffers as live leaves: ``set_prototypes`` / ``update_prototype`` write
+those buffers in place, and every replay recomputes ProtoAttn's query
+projection and assignment distances from their current values, for
+hard and soft assignment and for the deep blocks' reused routing alike.
+Nothing derived from the bank is cached, so a swap reuses the same plan
+objects with zero retraces, and only ``to_dtype`` evicts.  The property
+test drives random mutation sequences and re-checks bit-equivalence
+after each step; the structural tests pin the cache mechanics and the
+capture layer's rejection of data-dependent leaves (the failure mode
+that would otherwise allow silent staleness).
 """
 
 import numpy as np
@@ -44,8 +45,10 @@ def _mutate(model, op, rng):
     ops=st.lists(st.sampled_from(["set", "update"]), min_size=1, max_size=4),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_any_prototype_mutation_retraces_before_next_replay(ops, seed):
-    model = build_plan_model()
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("assignment", ["hard", "soft"])
+def test_any_prototype_mutation_retraces_before_next_replay(assignment, n_layers, ops, seed):
+    model = build_plan_model(assignment=assignment, n_layers=n_layers)
     rng = np.random.default_rng(seed)
     windows = make_windows(model, 2, seed=seed)
     assert np.array_equal(
@@ -126,9 +129,9 @@ def test_data_dependent_leaf_is_rejected():
     """A Tensor born from the input's *values* cannot be baked.
 
     This is the structural guarantee behind invalidation: anything the
-    capture cannot prove input-independent (or route through a custom
-    replay node) refuses to compile, so a plan can never freeze
-    input-derived data.
+    capture cannot prove input-independent (or compute with traced ops,
+    or read as a live leaf) refuses to compile, so a plan can never
+    freeze input-derived data.
     """
     from repro.autograd import Tensor
 
@@ -138,3 +141,15 @@ def test_data_dependent_leaf_is_rejected():
 
     with pytest.raises(PlanUnsupportedError, match="leaf Tensor"):
         trace_function(sneaky, np.random.default_rng(0).standard_normal((4, 3)))
+
+
+def test_live_leaf_is_never_folded():
+    """A node computed only from a live leaf replays on every call, so an
+    in-place write to the buffer reaches the next replay without a
+    retrace; the same leaf as a plain parameter would be folded."""
+    from repro import autograd as ag
+
+    bank = np.arange(3.0)
+    plan = trace_function(lambda x: x + ag.live(bank) * 2.0, np.zeros(3))
+    bank[...] = [5.0, 6.0, 7.0]
+    assert np.array_equal(plan.replay(np.ones(3)), 1.0 + bank * 2.0)

@@ -167,7 +167,7 @@ class TestCommands:
         assert "telemetry" in capsys.readouterr().out
         with open(path) as handle:
             report = json.load(handle)
-        assert report["schema"] == 9
+        assert report["schema"] == 10
         telemetry = report["telemetry"]
         assert telemetry["events_per_s"] > 0
         assert telemetry["off_ms"] > 0 and telemetry["on_ms"] > 0
