@@ -72,8 +72,10 @@ def check_fleet(report: dict) -> list[str]:
 
 def check_observability(report: dict) -> list[str]:
     obs = report["fleet_observability"]
+    low, high = obs["overhead_iqr_pct"]
     print(f"observability plane: {obs['off_per_s']:.0f}/s off vs "
-          f"{obs['on_per_s']:.0f}/s armed ({obs['overhead_pct']:+.2f}%); "
+          f"{obs['on_per_s']:.0f}/s armed ({obs['overhead_pct']:+.2f}%, "
+          f"per-round IQR {low:+.2f}..{high:+.2f}%); "
           f"aggregation {obs['aggregate_ms']:.2f}ms per "
           f"{obs['aggregate_shards']}-shard cycle")
     if obs["overhead_pct"] <= obs["gate_pct"]:

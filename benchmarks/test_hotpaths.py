@@ -161,7 +161,7 @@ def test_report_is_json_serializable():
 
     report = run_benchmarks(quick=True)
     encoded = json.loads(json.dumps(report))
-    assert encoded["schema"] == 10
+    assert encoded["schema"] == 11
     assert set(encoded) == {
         "schema",
         "mode",
@@ -184,6 +184,8 @@ def test_report_is_json_serializable():
     assert observability["gate_pct"] == 3.0
     assert observability["aggregate_ms"] > 0
     assert observability["merged_series"] > 0
+    low, high = observability["overhead_iqr_pct"]
+    assert low <= observability["overhead_pct"] <= high
     plan = encoded["plan_engine"]
     assert plan["gate"] == PLAN_SPEEDUP_GATE == 3.0
     assert plan["bitwise_equal"] is True

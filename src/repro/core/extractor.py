@@ -96,6 +96,11 @@ class DualBranchExtractor(Module):
                 prototypes, d_model, alpha=alpha,
                 assignment=assignment, temperature=temperature,
             )
+            # One bank for both branches: the entity mixer's buffer is
+            # the temporal mixer's array (state dicts keep both keys,
+            # and loading them different values raises), so the forward
+            # can share one set of Eq. 13 distances between them.
+            self.entity_mixer.register_buffer("prototypes", self.temporal_mixer.prototypes)
         elif mixer == "attn":
             self.temporal_mixer = _AttnBranchAdapter(segment_length, d_model)
             self.entity_mixer = _AttnBranchAdapter(segment_length, d_model)
@@ -156,14 +161,25 @@ class DualBranchExtractor(Module):
 
         # Temporal branch: one length-l sequence per (sample, entity).
         temporal_tokens = segments.reshape(batch * num_entities, n_segments, p)
-        mixed_t = self.temporal_mixer(temporal_tokens)
+        shared_t, shared_e = (), ()
+        if self.mixer_kind == "proto":
+            # Entity tokens are a row permutation of the temporal tokens
+            # and both mixers hold one bank, so one distance op serves
+            # both (distances carry no gradient).
+            k = self.temporal_mixer.num_prototypes
+            distances_t = self.temporal_mixer.distances(temporal_tokens)
+            distances_e = ag.swapaxes(
+                distances_t.reshape(batch, num_entities, n_segments, k), 1, 2
+            ).reshape(batch * n_segments, num_entities, k)
+            shared_t, shared_e = (distances_t,), (distances_e,)
+        mixed_t = self.temporal_mixer(temporal_tokens, *shared_t)
         residual_t = self.embed_t(temporal_tokens)
         if self.pos_t is not None:
             residual_t = residual_t + self.pos_t
         h_t = self.norm_t(mixed_t + residual_t)
         h_t = self.norm_t2(h_t + self.ffn_t2(self.ffn_act(self.ffn_t1(h_t))))
         if len(self.deep_t):
-            routing_t = self.temporal_mixer.routing(temporal_tokens)
+            routing_t = self.temporal_mixer.routing(temporal_tokens, *shared_t)
             for block in self.deep_t:
                 h_t = block(h_t, routing_t)
         h_t = h_t.reshape(batch, num_entities, n_segments, self.d_model)
@@ -171,14 +187,14 @@ class DualBranchExtractor(Module):
         # Entity branch: one length-N sequence per (sample, segment slot).
         entity_tokens = ag.swapaxes(segments, 1, 2)  # (B, l, N, p)
         entity_tokens = entity_tokens.reshape(batch * n_segments, num_entities, p)
-        mixed_e = self.entity_mixer(entity_tokens)
+        mixed_e = self.entity_mixer(entity_tokens, *shared_e)
         residual_e = self.embed_e(entity_tokens)
         if self.pos_e is not None:
             residual_e = residual_e + self.pos_e
         h_e = self.norm_e(mixed_e + residual_e)
         h_e = self.norm_e2(h_e + self.ffn_e2(self.ffn_act(self.ffn_e1(h_e))))
         if len(self.deep_e):
-            routing_e = self.entity_mixer.routing(entity_tokens)
+            routing_e = self.entity_mixer.routing(entity_tokens, *shared_e)
             for block in self.deep_e:
                 h_e = block(h_e, routing_e)
         h_e = h_e.reshape(batch, n_segments, num_entities, self.d_model)

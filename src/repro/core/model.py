@@ -80,8 +80,8 @@ class FOCUSConfig:
 def plan_chunks(batch: int, cap: int) -> list[int]:
     """Split ``batch`` rows into power-of-two chunks of at most ``cap``.
 
-    Largest first; ``cap`` must itself be a power of two.  With cap 32,
-    19 rows run as ``[16, 2, 1]`` and 70 as ``[32, 32, 4, 2]``.
+    Largest first; ``cap`` must itself be a power of two.  With cap 16,
+    19 rows run as ``[16, 2, 1]`` and 70 as ``[16, 16, 16, 16, 4, 2]``.
     """
     chunks = [cap] * (batch // cap)
     rest = batch % cap
@@ -246,9 +246,31 @@ class FOCUSForecaster(Module):
         - ``entropy`` — normalized assignment entropy in ``[0, 1]``,
         - ``mean_distance`` — mean nearest-prototype distance.
         """
-        from repro.core.clustering import composite_distance
-        from repro.data.segments import segment_series
         from repro.telemetry.drift import assignment_entropy
+
+        distances = self._window_distances(np.asarray(window)[None])[0]
+        assignments = distances.argmin(axis=1)
+        counts = np.bincount(assignments, minlength=self.config.num_prototypes)
+        nearest = distances[np.arange(len(distances)), assignments]
+        return {
+            "assignments": assignments,
+            "counts": counts,
+            "entropy": assignment_entropy(counts),
+            "mean_distance": float(nearest.mean()),
+        }
+
+    def assignments(self, windows: np.ndarray) -> np.ndarray:
+        """``(B, N * l)`` nearest-prototype indices of ``(B, L, N)``
+        windows: row ``b`` is ``assignment_profile(windows[b])``'s
+        ``assignments``, from one composite-distance pass over every
+        window's segments."""
+        return self._window_distances(windows).argmin(axis=-1)
+
+    def _window_distances(self, windows: np.ndarray) -> np.ndarray:
+        """Eq. (13) distances ``(B, N * l, k)`` of each window's segments,
+        in :func:`~repro.data.segments.segment_series` order (entity 0's
+        segments first)."""
+        from repro.core.clustering import composite_distance
 
         prototypes = self.prototype_values()
         if prototypes is None:
@@ -256,17 +278,20 @@ class FOCUSForecaster(Module):
                 "assignment profiles require a prototype mixer "
                 "(the attn/linear variants have no dictionary)"
             )
-        segments = segment_series(np.asarray(window), self.config.segment_length)
-        distances = composite_distance(segments, prototypes, self.config.alpha)
-        assignments = distances.argmin(axis=1)
-        counts = np.bincount(assignments, minlength=self.config.num_prototypes)
-        nearest = distances[np.arange(len(segments)), assignments]
-        return {
-            "assignments": assignments,
-            "counts": counts,
-            "entropy": assignment_entropy(counts),
-            "mean_distance": float(nearest.mean()),
-        }
+        windows = np.asarray(windows, dtype=np.float64)
+        batch, length, num_entities = windows.shape
+        p = self.config.segment_length
+        n_segments = length // p
+        if n_segments == 0:
+            raise ValueError(
+                f"series of length {length} shorter than segment length {p}"
+            )
+        segments = (
+            windows[:, : n_segments * p]
+            .transpose(0, 2, 1)
+            .reshape(batch, num_entities * n_segments, p)
+        )
+        return composite_distance(segments, prototypes, self.config.alpha)
 
     def update_prototype(self, index: int, value: np.ndarray) -> None:
         """Overwrite one prototype row in place (both mixers stay in sync).
@@ -399,7 +424,7 @@ class FOCUSForecaster(Module):
         eager in float64 (``tests/plan`` pins it) but free of per-op
         Python dispatch.  The plan engine runs any batch as power-of-two
         row chunks of at most :attr:`PLAN_MAX_ROWS` (B=19 as 16+2+1), so
-        at most six plans serve every batch size; the independence of
+        at most five plans serve every batch size; the independence of
         rows keeps the result bit-identical.  Plans are traced on first
         use per (chunk shape, dtype), survive prototype swaps (they read
         the prototype buffers live), are evicted only by ``to_dtype``,
@@ -465,9 +490,12 @@ class FOCUSForecaster(Module):
     # ------------------------------------------------------------------
     #: Largest chunk the plan engine replays; bigger batches split into
     #: several chunks.  Power-of-two chunk sizes up to this cap need at
-    #: most log2(PLAN_MAX_ROWS) + 1 = 6 plans per dtype.
-    PLAN_MAX_ROWS = 32
-    #: Plans kept per model: the six chunk shapes of one dtype fit.
+    #: most log2(PLAN_MAX_ROWS) + 1 = 5 plans per dtype.  On one thread
+    #: a 32-row chunk replays no faster than two 16-row chunks (perfbench
+    #: config) while its per-thread arena is twice the size, and the
+    #: two-lane split already halves every batch of 32 rows or more.
+    PLAN_MAX_ROWS = 16
+    #: Plans kept per model: the five chunk shapes of one dtype fit.
     PLAN_CACHE_CAPACITY = 8
     #: Smallest batch the plan engine replays as two row halves on two
     #: threads (:func:`repro.engine.lanes.run_two_lanes`).  Measured on

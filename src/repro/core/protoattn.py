@@ -109,8 +109,13 @@ class ProtoAttn(Module):
         if "assignment_weights" in self.__dict__:
             return Tensor(self.assignment_weights(segments.data))
         if distances is None:
-            distances = distance_op(segments, ag.live(self.prototypes), alpha=self.alpha)
+            distances = self.distances(segments)
         return self._weights(distances)
+
+    def distances(self, segments: Tensor) -> Tensor:
+        """Eq. (13) distances ``(..., k)`` of segments to the live bank,
+        as a traced op."""
+        return distance_op(segments, ag.live(self.prototypes), alpha=self.alpha)
 
     def _weights(self, distances: Tensor) -> Tensor:
         if self.assignment_mode == "hard":
@@ -119,7 +124,9 @@ class ProtoAttn(Module):
             )
         return softmin(distances, temperature=self.temperature)
 
-    def forward(self, segments: Tensor) -> Tensor:
+    def forward(self, segments: Tensor, distances: Tensor | None = None) -> Tensor:
+        """Mix ``(B, l, p)`` segments; ``distances`` are their ``(B, l, k)``
+        composite distances to this bank when the caller has them."""
         if segments.ndim != 3 or segments.shape[-1] != self.segment_length:
             raise ValueError(
                 f"expected (B, l, p={self.segment_length}) segments, got {segments.shape}"
@@ -128,7 +135,8 @@ class ProtoAttn(Module):
 
         # Nearest prototype under Eq. (13) (Algorithm 2 l.1-4).
         prototypes = ag.live(self.prototypes)
-        distances = distance_op(segments, prototypes, alpha=self.alpha)  # (B, l, k)
+        if distances is None:
+            distances = distance_op(segments, prototypes, alpha=self.alpha)  # (B, l, k)
         labels = argmin(distances)  # (B, l)
         # Gather with the local labels, never by reading the attribute
         # back: another thread's forward may rewrite it in between.

@@ -160,11 +160,17 @@ class ObservationRing:
         guarded, imputed, rejected = self._guard(observation[None])
         if len(guarded) == 0:
             return IngestResult(accepted=0, imputed=imputed, rejected=rejected)
-        self.storage[self.head] = guarded[0]
+        self.push(guarded[0])
+        return IngestResult(accepted=1, imputed=imputed, rejected=rejected)
+
+    def push(self, row: np.ndarray) -> None:
+        """Write one ``(N,)`` row that is finite in the storage dtype,
+        skipping the guard (the caller checked it, e.g. a whole ingest
+        step at once)."""
+        self.storage[self.head] = row
         self.head = (self.head + 1) % self.lookback
         self.filled = min(self.filled + 1, self.lookback)
         self.count += 1
-        return IngestResult(accepted=1, imputed=imputed, rejected=rejected)
 
     def observe_many(self, observations: np.ndarray) -> IngestResult:
         """Guard and write a ``(T, N)`` block of rows."""

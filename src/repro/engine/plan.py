@@ -365,6 +365,7 @@ class PlanStats:
     num_captured: int  # ops recorded during the trace
     num_ops: int  # dynamic steps that replay per call
     num_folded: int  # captured ops folded to constants
+    num_merged: int  # dynamic ops merged into an equal earlier one
     num_buffers: int  # arena buffers allocated per thread
     arena_bytes: int  # bytes per per-thread arena
 
@@ -535,6 +536,62 @@ def _node_kind(node: CapturedNode) -> tuple[Callable, str]:
     return _declared(forward), "out"
 
 
+def _frozen(value):
+    """A hashable stand-in for op ``extras`` that is equal only for equal
+    values of equal types (``-0.0`` is not ``0.0``), or None when the
+    value has none (arrays, unknown objects): such ops are never merged."""
+    if value is None or isinstance(value, (bool, int, float, str, np.generic)):
+        return (type(value), repr(value))
+    if isinstance(value, (np.dtype, type)):
+        return (type(value), value)
+    if isinstance(value, slice):
+        parts = _frozen((value.start, value.stop, value.step))
+    elif isinstance(value, dict):
+        parts = _frozen((tuple(value), tuple(value.values())))
+    elif isinstance(value, (tuple, list)):
+        parts = tuple(_frozen(item) for item in value)
+        parts = None if None in parts else parts
+    else:
+        return None
+    return None if parts is None else (type(value), parts)
+
+
+def _merge_common(
+    dyn_nodes: list[CapturedNode], slot_of: dict[int, int]
+) -> tuple[list[CapturedNode], dict[int, int]]:
+    """Common-subexpression elimination over the dynamic steps.
+
+    A node with the same op, the same (already merged) parents, equal
+    extras and the same output spec as an earlier node computes the same
+    array, so it is dropped and its consumers read the earlier node's
+    slot.  Parents compare by identity: nodes reading different inputs,
+    leaves or live leaves never merge.  Returns the kept nodes and the
+    map from each merged tensor id to the id it merged into.
+    """
+    merged: dict[int, int] = {}
+    seen: dict[tuple, int] = {}
+    kept = []
+    for node in dyn_nodes:
+        tid = id(node.tensor)
+        extras = _frozen(node.extras)
+        if extras is not None:
+            data = node.tensor.data
+            key = (
+                node.op_name,
+                tuple(merged.get(id(p), id(p)) for p in node.parents),
+                extras,
+                data.shape,
+                data.dtype.str,
+            )
+            first = seen.setdefault(key, tid)
+            if first != tid:
+                merged[tid] = first
+                slot_of[tid] = slot_of[first]
+                continue
+        kept.append(node)
+    return kept, merged
+
+
 def compile_plan(
     capture: GraphCapture,
     inputs: Sequence[Tensor],
@@ -625,6 +682,12 @@ def compile_plan(
         if id(tensor) not in slot_of:
             slot_of[id(tensor)] = add_slot(None)
 
+    dyn_nodes, merged = _merge_common(dyn_nodes, slot_of)
+
+    def ref(tensor: Tensor) -> int:
+        """The id of the tensor whose step computes ``tensor``."""
+        return merged.get(id(tensor), id(tensor))
+
     # Storage roots: a view shares (and extends the life of) its source's
     # buffer; everything else roots itself.
     kinds = {id(n.tensor): _node_kind(n) for n in dyn_nodes}
@@ -632,7 +695,7 @@ def compile_plan(
     for node in dyn_nodes:
         tid = id(node.tensor)
         _, kind = kinds[tid]
-        pid = id(node.parents[0]) if node.parents else None
+        pid = ref(node.parents[0]) if node.parents else None
         if kind == "view" and pid in root:
             root[tid] = root[pid]
         else:
@@ -643,10 +706,10 @@ def compile_plan(
     last_use: dict[int, int] = {}
     for step, node in enumerate(dyn_nodes):
         for parent in node.parents:
-            pid = id(parent)
+            pid = ref(parent)
             if pid in root:
                 last_use[root[pid]] = step
-    last_use[root[id(output)]] = len(dyn_nodes)
+    last_use[root[ref(output)]] = len(dyn_nodes)
 
     # Buffer assignment: linear scan with shape/dtype free lists;
     # elementwise steps may steal the buffer of a source dying at that
@@ -663,13 +726,13 @@ def compile_plan(
         spec = (out_data.shape, out_data.dtype)
         dying: set[int] = set()
         for parent in node.parents:
-            pid = id(parent)
+            pid = ref(parent)
             if pid in root and last_use.get(root[pid]) == step:
                 dying.add(root[pid])
         buf: int | None = None
         if kind == "ew":
             for parent in node.parents:
-                pid = id(parent)
+                pid = ref(parent)
                 if (
                     pid in dying
                     and root.get(pid) == pid
@@ -716,6 +779,7 @@ def compile_plan(
         num_captured=len(ordered),
         num_ops=len(ops),
         num_folded=num_folded,
+        num_merged=len(merged),
         num_buffers=len(buffer_specs),
         arena_bytes=arena_bytes,
     )

@@ -24,7 +24,6 @@ mean-nudge when no bucket's statistics justify structural surgery.
 from __future__ import annotations
 
 import threading
-from collections import deque
 
 import numpy as np
 
@@ -45,6 +44,12 @@ class RecentHistory:
     regime and still hold out ``lookback + horizon`` rows for shadow
     scoring.  Rows containing non-finite values are dropped at the door
     (a NaN row would poison both the refit and the holdout targets).
+
+    Each entity's rows live in one preallocated ``(2 * capacity, N)``
+    array whose newest ``depth`` rows are always contiguous: appends
+    write past the end and, once the array is full, the stored rows
+    move back to its front (one copy per ``capacity`` appends).  So
+    :meth:`tail` and the snapshots are slices, never stacks of rows.
     """
 
     def __init__(self, capacity: int, num_entities: int):
@@ -53,10 +58,12 @@ class RecentHistory:
         self.capacity = capacity
         self.num_entities = num_entities
         self._lock = threading.Lock()
-        self._rows: dict[str, deque[np.ndarray]] = {}
+        # entity -> [rows array, end, depth]: stored rows are
+        # ``rows[end - depth : end]``, oldest first.
+        self._rings: dict[str, list] = {}
         # Cumulative rows *observed* per entity (dropped rows included):
         # the entity's position on its global stream clock.  The stored
-        # buffer covers global indices [observed - len(ring), observed),
+        # buffer covers global indices [observed - depth, observed),
         # which is what phase-aligned refits key on.
         self._observed: dict[str, int] = {}
         self.dropped_rows = 0
@@ -70,25 +77,74 @@ class RecentHistory:
                 f"expected ({self.num_entities},) row, got {row.shape}"
             )
         with self._lock:
-            # A dropped row still advances the entity's stream clock.
-            self._observed[entity_id] = self._observed.get(entity_id, 0) + 1
-            if not np.isfinite(row).all():
-                self.dropped_rows += 1
-                return None
-            ring = self._rows.get(entity_id)
-            if ring is None:
-                ring = deque(maxlen=self.capacity)
-                self._rows[entity_id] = ring
-            ring.append(row.copy())
-            return len(ring)
+            return self._append(entity_id, row, bool(np.isfinite(row).all()))
+
+    def record_many(
+        self,
+        entity_ids: list[str],
+        rows: np.ndarray,
+        finite: np.ndarray,
+        start: int,
+        due,
+        steps: int,
+        limit: int | None,
+    ) -> tuple[int, list[int], list[np.ndarray]]:
+        """Append ``rows[i]`` to ``entity_ids[i]``'s history, in order.
+
+        ``rows`` is a float64 ``(E, N)`` block and ``finite`` its per-row
+        finiteness; rows from ``start`` on are appended.  After each
+        accepted row, ``due(entity_id, depth)`` decides whether the
+        entity's newest ``steps`` rows are copied out at that moment.
+        Appending stops right after the ``limit``-th copied window
+        (None: no limit).
+        Returns ``(stop, indices, windows)``: the index after the last
+        appended row, and the row index and ``(steps, N)`` window of
+        every copy.
+        """
+        indices: list[int] = []
+        windows: list[np.ndarray] = []
+        stop = len(entity_ids)
+        with self._lock:
+            for index in range(start, stop):
+                entity_id = entity_ids[index]
+                depth = self._append(entity_id, rows[index], finite[index])
+                if depth is None or not due(entity_id, depth):
+                    continue
+                buffer, end, _ = self._rings[entity_id]
+                indices.append(index)
+                windows.append(buffer[end - steps : end].copy())
+                if limit is not None and len(indices) >= limit:
+                    return index + 1, indices, windows
+        return stop, indices, windows
+
+    def _append(self, entity_id: str, row: np.ndarray, finite: bool) -> int | None:
+        """One row into the entity's ring (caller holds the lock)."""
+        # A dropped row still advances the entity's stream clock.
+        self._observed[entity_id] = self._observed.get(entity_id, 0) + 1
+        if not finite:
+            self.dropped_rows += 1
+            return None
+        ring = self._rings.get(entity_id)
+        if ring is None:
+            buffer = np.empty((2 * self.capacity, self.num_entities))
+            ring = self._rings[entity_id] = [buffer, 0, 0]
+        buffer, end, depth = ring
+        if end == len(buffer):
+            buffer[:depth] = buffer[end - depth : end]
+            end = depth
+        buffer[end] = row
+        ring[1] = end + 1
+        ring[2] = depth = min(depth + 1, self.capacity)
+        return depth
 
     def tail(self, entity_id: str, steps: int) -> np.ndarray | None:
         """The entity's last ``steps`` rows as ``(steps, N)``, or None."""
         with self._lock:
-            ring = self._rows.get(entity_id)
-            if ring is None or len(ring) < steps:
+            ring = self._rings.get(entity_id)
+            if ring is None or ring[2] < steps:
                 return None
-            return np.stack(list(ring)[-steps:])
+            buffer, end, _ = ring
+            return buffer[end - steps : end].copy()
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copy of every entity's history as ``(T, N)`` arrays."""
@@ -107,20 +163,18 @@ class RecentHistory:
         """
         with self._lock:
             rows = {
-                entity_id: np.stack(list(ring))
-                for entity_id, ring in self._rows.items()
-                if len(ring)
+                entity_id: buffer[end - depth : end].copy()
+                for entity_id, (buffer, end, depth) in self._rings.items()
             }
             starts = {
-                entity_id: self._observed.get(entity_id, 0) - len(ring)
-                for entity_id, ring in self._rows.items()
-                if len(ring)
+                entity_id: self._observed[entity_id] - depth
+                for entity_id, (_, _, depth) in self._rings.items()
             }
         return rows, starts
 
     def total_rows(self) -> int:
         with self._lock:
-            return sum(len(ring) for ring in self._rows.values())
+            return sum(depth for _, _, depth in self._rings.values())
 
 
 def build_job_data(

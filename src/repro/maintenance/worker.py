@@ -270,37 +270,88 @@ class MaintenanceWorker:
     # Observation tap
     # ------------------------------------------------------------------
     def record(self, entity_id: str, row: np.ndarray) -> None:
-        """Feed one accepted observation row (called by the host).
+        """Feed one accepted observation row (the one-row
+        :meth:`record_many`)."""
+        row = np.asarray(row, dtype=np.float64).ravel()
+        self.record_many([entity_id], row[None])
 
-        Cheap by design: an O(N) history append, and every
+    def record_many(self, entity_ids, rows: np.ndarray) -> None:
+        """Feed ``rows[i]`` of entity ``entity_ids[i]``, in order (called
+        by the host once per ingest step; ids may repeat).
+
+        Cheap by design: O(N) history appends, and every
         ``drift_every`` rows per entity one assignment profile of the
         entity's latest lookback window.  Non-finite rows are dropped
         by the history and do not advance the profiling countdown.
+
+        Exactly equivalent to one :meth:`record` per row in the given
+        order: every window, monitor observation, alarm and rollback
+        watch tick happens in the same order on the same data.  The
+        windows due between two inline rollback checks are assigned in
+        one stacked pass; the rows are appended up to the row whose
+        watch tick runs a check, so that check (which reads every
+        entity's history) sees this call's rows only up to that row.
         """
-        depth = self.history.record(entity_id, row)
-        if depth is None:
-            return  # dropped (non-finite) — never profile poisoned data
-        self.stats_counters["rows_recorded"] += 1
+        entity_ids = list(entity_ids)
+        rows = np.asarray(rows, dtype=np.float64)
+        expected = (len(entity_ids), self.history.num_entities)
+        if rows.shape != expected:
+            raise ValueError(f"expected {expected} rows, got {rows.shape}")
+        finite = np.isfinite(rows).all(axis=1)
         lookback = self.model.config.lookback
-        if depth < lookback:
-            return
+        counters = self.stats_counters
+        start = 0
+        while start < len(entity_ids):
+            stop, due, windows = self.history.record_many(
+                entity_ids, rows, finite, start,
+                due=self._profile_due, steps=lookback,
+                limit=self._ticks_before_inline_check(),
+            )
+            recorded = start
+            if windows:
+                assignments = self.model.assignments(np.stack(windows))
+                for index, labels in zip(due, assignments):
+                    counters["rows_recorded"] += int(finite[recorded : index + 1].sum())
+                    recorded = index + 1
+                    with self._monitor_lock:
+                        outcome = self.monitor.observe(labels)
+                    # Reacting to the returned verdict rather than
+                    # through an on_alarm callback keeps the monitor free
+                    # of a reference back to the worker.
+                    if outcome["alarmed"]:
+                        self._on_alarm(outcome["reason"])
+                    self._tick_watch()
+            counters["rows_recorded"] += int(finite[recorded:stop].sum())
+            start = stop
+
+    def _profile_due(self, entity_id: str, depth: int) -> bool:
+        """Advance the entity's profiling countdown for one stored row."""
+        if depth < self.model.config.lookback:
+            return False
         seen = self._rows_since_profile.get(entity_id, 0) + 1
         if seen < self.config.drift_every:
             self._rows_since_profile[entity_id] = seen
-            return
+            return False
         self._rows_since_profile[entity_id] = 0
-        window = self.history.tail(entity_id, lookback)
-        if window is None:
-            return
-        profile = self.model.assignment_profile(window)
-        with self._monitor_lock:
-            outcome = self.monitor.observe(profile["assignments"])
-        # Reacting to the returned verdict rather than through an
-        # on_alarm callback keeps the monitor free of a reference back
-        # to the worker.
-        if outcome["alarmed"]:
-            self._on_alarm(outcome["reason"])
-        self._tick_watch()
+        return True
+
+    def _ticks_before_inline_check(self) -> int | None:
+        """Drift ticks until :meth:`_tick_watch` next runs an inline
+        rollback check, or None when none can run (no watch armed, or
+        the background loop does the checks)."""
+        if self._thread is not None:
+            return None
+        with self._watch_lock:
+            watch = self._watch
+            if watch is None:
+                return None
+            return max(
+                1,
+                min(
+                    self.config.rollback_check_every - watch["since_check"],
+                    watch["remaining"],
+                ),
+            )
 
     def _on_alarm(self, reason: str) -> None:
         self.stats_counters["alarms"] += 1

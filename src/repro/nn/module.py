@@ -104,10 +104,15 @@ class Module:
             param.data = param.data.astype(dtype, copy=False)
             if param.grad is not None:
                 param.grad = param.grad.astype(dtype, copy=False)
+        # One cast per array: modules registering the same buffer keep
+        # sharing it.
+        casts: dict[int, np.ndarray] = {}
         for _, module in self.named_modules():
             for buf_name, buf in list(module._buffers.items()):
                 if buf.dtype.kind == "f" and buf.dtype != dtype:
-                    cast = buf.astype(dtype)
+                    cast = casts.get(id(buf))
+                    if cast is None:
+                        cast = casts[id(buf)] = buf.astype(dtype)
                     module._buffers[buf_name] = cast
                     object.__setattr__(module, buf_name, cast)
         return self
@@ -136,13 +141,26 @@ class Module:
             param.data[...] = value
             consumed.add(name)
         # Restore buffers in place (module attributes alias the arrays).
+        # A buffer registered by several modules is one array: every key
+        # naming it must carry the same value, or loading would keep
+        # only the last one.
+        loaded: dict[int, str] = {}
         for full_name, module in self.named_modules():
             prefix = f"{full_name}." if full_name else ""
-            for buf_name in list(module._buffers):
+            for buf_name, buf in module._buffers.items():
                 key = f"{prefix}{buf_name}__buffer"
-                if key in state:
-                    module._buffers[buf_name][...] = state[key]
-                    consumed.add(key)
+                if key not in state:
+                    continue
+                first = loaded.setdefault(id(buf), key)
+                if first != key:
+                    value = np.asarray(state[key]).astype(buf.dtype, copy=False)
+                    if not np.array_equal(buf, value, equal_nan=True):
+                        raise ValueError(
+                            f"{key!r} and {first!r} name one shared buffer "
+                            "but the state dict gives them different values"
+                        )
+                buf[...] = state[key]
+                consumed.add(key)
         unexpected = set(state) - consumed
         if unexpected:
             raise KeyError(f"unexpected keys in state dict: {sorted(unexpected)}")

@@ -63,7 +63,7 @@ from repro.core.model import FOCUSForecaster
 from repro.engine.lanes import use_single_lane
 from repro.robustness.health import NAN_POLICIES, HealthMonitor
 from repro.serving.batcher import ForecastResponse
-from repro.serving.server import ForecastServer, ServingConfig
+from repro.serving.server import ForecastServer, ServingConfig, step_blocks
 from repro.telemetry.aggregate import FleetAggregator, registry_snapshot
 from repro.telemetry.context import (
     RequestTrace,
@@ -345,19 +345,18 @@ def _local_replay(server: ForecastServer, streams: dict[str, np.ndarray],
         return [], []
     lookback = server.model.config.lookback
     warmup = lookback if warmup is None else warmup
-    length = min(len(stream) for stream in streams.values())
+    entity_ids = list(streams)
     tagged: list[tuple[int, int, ForecastResponse]] = []
     latencies: list[float] = []
-    for step in range(length):
+    for step, rows in enumerate(step_blocks(streams)):
+        server.observe_rows(entity_ids, rows)
         due: list[str] = []
-        for entity_id, stream in streams.items():
-            server.observe(entity_id, stream[step])
-            if (
-                step + 1 >= warmup
-                and (step + 1) % forecast_every == 0
-                and server.store.session(entity_id).ready
-            ):
-                due.append(entity_id)
+        if step + 1 >= warmup and (step + 1) % forecast_every == 0:
+            due = [
+                entity_id
+                for entity_id in entity_ids
+                if server.store.session(entity_id).ready
+            ]
         if not due:
             continue
         started = time.perf_counter()
@@ -916,7 +915,7 @@ class ShardRouter:
         with self._last_row_lock:
             self._last_row[entity_id] = observation.copy()
         if self._maintenance is not None:
-            self._maintenance.record(entity_id, observation)
+            self._maintenance.record_many([entity_id], observation[None])
         return result
 
     def observe_many(self, entity_id: str, block: np.ndarray):
@@ -929,8 +928,7 @@ class ShardRouter:
             with self._last_row_lock:
                 self._last_row[entity_id] = block[-1].copy()
         if self._maintenance is not None:
-            for row in block:
-                self._maintenance.record(entity_id, row)
+            self._maintenance.record_many([entity_id] * len(block), block)
         return result
 
     def _fleet_reject(

@@ -39,6 +39,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.model import FOCUSForecaster
+from repro.core.streaming import IngestResult
 from repro.robustness.health import NAN_POLICIES, HealthMonitor, HealthState
 from repro.serving.batcher import ForecastResponse, MicroBatcher
 from repro.serving.cache import ForecastCache
@@ -246,18 +247,48 @@ class ForecastServer:
     # Ingestion
     # ------------------------------------------------------------------
     def observe(self, entity_id: str, observation: np.ndarray):
-        """Push one ``(N,)`` observation into ``entity_id``'s session."""
-        result = self.store.observe(entity_id, observation)
-        if self._maintenance is not None:
-            self._maintenance.record(entity_id, observation)
-        return result
+        """Push one ``(N,)`` observation into ``entity_id``'s session
+        (the one-row :meth:`observe_rows`)."""
+        return self.observe_rows([entity_id], np.asarray(observation)[None])[0]
+
+    def observe_rows(self, entity_ids: list[str], rows: np.ndarray) -> list[IngestResult]:
+        """Push ``rows[i]`` into ``entity_ids[i]``'s session, in order.
+
+        The ingest of one stream step across tenants (ids may repeat):
+        finiteness is checked once over the ``(E, N)`` block, each ring
+        is written under its own session lock, and an attached
+        maintenance worker is tapped once
+        (:meth:`~repro.maintenance.MaintenanceWorker.record_many`).
+        Returns one :class:`~repro.core.streaming.IngestResult` per row.
+        Equivalent to one :meth:`observe` per row in the given order.
+        """
+        entity_ids = list(entity_ids)
+        block = np.asarray(rows, dtype=np.float64)
+        expected = (len(entity_ids), self.model.config.num_entities)
+        if block.shape != expected:
+            raise ValueError(f"expected {expected} observations, got {block.shape}")
+        sessions = self.store.sessions(entity_ids)
+        maintenance = self._maintenance
+        if np.isfinite(block.astype(self.store.dtype, copy=False)).all():
+            results = [session.push(row) for session, row in zip(sessions, block)]
+            if maintenance is not None:
+                maintenance.record_many(entity_ids, block)
+            return results
+        # A guarded row may impute from the live bank, which the tap of
+        # an earlier row can swap (an inline rollback): keep row order.
+        results = []
+        for index, (entity_id, session) in enumerate(zip(entity_ids, sessions)):
+            results.append(session.observe(block[index]))
+            if maintenance is not None:
+                maintenance.record_many([entity_id], block[index : index + 1])
+        return results
 
     def observe_many(self, entity_id: str, block: np.ndarray):
         """Push a ``(T, N)`` block into ``entity_id``'s session."""
         result = self.store.observe_many(entity_id, block)
         if self._maintenance is not None:
-            for row in np.asarray(block):
-                self._maintenance.record(entity_id, row)
+            block = np.asarray(block, dtype=np.float64)
+            self._maintenance.record_many([entity_id] * len(block), block)
         return result
 
     # ------------------------------------------------------------------
@@ -627,8 +658,9 @@ def replay_streams(
     """Replay per-entity ``(T, N)`` streams through a server.
 
     Rows are interleaved across entities in time order (the multi-tenant
-    traffic shape); once an entity's ring is full, a forecast request is
-    issued every ``forecast_every`` of its steps.  ``warmup`` overrides
+    traffic shape), one :meth:`ForecastServer.observe_rows` call per
+    step; once an entity's ring is full, a forecast request is issued
+    every ``forecast_every`` of its steps.  ``warmup`` overrides
     the number of rows ingested before the first forecast (defaults to
     the model lookback); an entity whose ring is not yet full at a due
     step (short warmup, or NaN-rejected rows) is skipped rather than
@@ -646,18 +678,17 @@ def replay_streams(
         return []
     lookback = server.model.config.lookback
     warmup = lookback if warmup is None else warmup
-    length = min(len(stream) for stream in streams.values())
+    entity_ids = list(streams)
     responses: list[ForecastResponse] = []
-    for step in range(length):
+    for step, rows in enumerate(step_blocks(streams)):
+        server.observe_rows(entity_ids, rows)
         due: list[str] = []
-        for entity_id, stream in streams.items():
-            server.observe(entity_id, stream[step])
-            if (
-                step + 1 >= warmup
-                and (step + 1) % forecast_every == 0
-                and server.store.session(entity_id).ready
-            ):
-                due.append(entity_id)
+        if step + 1 >= warmup and (step + 1) % forecast_every == 0:
+            due = [
+                entity_id
+                for entity_id in entity_ids
+                if server.store.session(entity_id).ready
+            ]
         if not due:
             continue
         if server.running:
@@ -672,3 +703,10 @@ def replay_streams(
         else:
             responses.extend(server.forecast_many(due))
     return responses
+
+
+def step_blocks(streams: dict[str, np.ndarray]) -> np.ndarray:
+    """Per-entity ``(T, N)`` streams as ``(T_min, E, N)`` step blocks:
+    ``[t]`` holds every entity's row ``t``, in ``streams`` order."""
+    length = min(len(stream) for stream in streams.values())
+    return np.stack([np.asarray(stream)[:length] for stream in streams.values()], axis=1)

@@ -34,6 +34,8 @@ from repro.core.model import FOCUSForecaster
 from repro.core.streaming import IngestResult, ObservationRing
 from repro.robustness.health import NAN_POLICIES
 
+_ACCEPTED = IngestResult(accepted=1)
+
 
 @dataclasses.dataclass
 class SessionStats:
@@ -100,6 +102,16 @@ class EntitySession:
                     ("observe", np.array(observation, dtype=np.float64, copy=True))
                 )
             return self._note(self.ring.observe(observation))
+
+    def push(self, row: np.ndarray) -> IngestResult:
+        """Ingest one ``(N,)`` float64 row that the caller has checked to
+        be finite in the ring's dtype (thread-safe)."""
+        with self.lock:
+            if self.journal is not None:
+                self.journal.append(("observe", np.array(row, dtype=np.float64, copy=True)))
+            self.ring.push(row)
+            self.stats.observations += 1
+        return _ACCEPTED
 
     def observe_many(self, block: np.ndarray) -> IngestResult:
         """Guard and ingest a ``(T, N)`` block (thread-safe)."""
@@ -211,6 +223,18 @@ class EntitySessionStore:
             )
             self._sessions[entity_id] = session
             return session
+
+    def sessions(self, entity_ids: list[str]) -> list[EntitySession]:
+        """The session of each id (created on demand), looked up under
+        one acquisition of the store lock when all exist."""
+        with self._lock:
+            found = [self._sessions.get(entity_id) for entity_id in entity_ids]
+        if None not in found:
+            return found
+        return [
+            session if session is not None else self.session(entity_id)
+            for entity_id, session in zip(entity_ids, found)
+        ]
 
     def observe(self, entity_id: str, observation: np.ndarray) -> IngestResult:
         return self.session(entity_id).observe(observation)

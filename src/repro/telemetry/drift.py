@@ -107,6 +107,9 @@ class DriftMonitor:
         self.last_drift = 0.0
         self._baseline_accum = np.zeros(num_prototypes, dtype=np.int64)
         self._recent: deque[np.ndarray] = deque(maxlen=self.config.window)
+        # Running total of ``_recent`` (integer, so exact): the drift
+        # statistic never re-sums the window.
+        self._recent_counts = np.zeros(num_prototypes, dtype=np.int64)
         self._streak = 0
 
     def set_baseline(self, counts: np.ndarray) -> None:
@@ -134,6 +137,7 @@ class DriftMonitor:
         are preserved.
         """
         self._recent.clear()
+        self._recent_counts[:] = 0
         self._streak = 0
         self.alarmed = False
         self.last_drift = 0.0
@@ -168,7 +172,10 @@ class DriftMonitor:
         counts = np.bincount(assignments, minlength=self.num_prototypes)
         self.forecasts_seen += 1
         self.utilization += counts
+        if len(self._recent) == self._recent.maxlen:
+            self._recent_counts -= self._recent[0]
         self._recent.append(counts)
+        self._recent_counts += counts
         self.last_entropy = assignment_entropy(counts)
 
         if self.baseline is None:
@@ -178,7 +185,7 @@ class DriftMonitor:
 
         fired = False
         self.last_drift = 0.0
-        recent_total = sum(int(c.sum()) for c in self._recent)
+        recent_total = int(self._recent_counts.sum())
         baseline_ready = (
             self.baseline is not None
             # Auto-captured baselines must not be compared against the
@@ -187,8 +194,7 @@ class DriftMonitor:
             and recent_total >= self.config.min_segments
         )
         if baseline_ready:
-            recent = np.sum(self._recent, axis=0)
-            self.last_drift = total_variation(recent, self.baseline)
+            self.last_drift = total_variation(self._recent_counts, self.baseline)
             if self.last_drift > self.config.threshold:
                 self._streak += 1
                 if self._streak >= self.config.alarm_streak:

@@ -195,6 +195,48 @@ class TestFOCUSForecaster:
             assert np.array_equal(mixer.prototypes, bank)
         assert model.prototype_version == 2
 
+    def test_mixers_share_one_bank_array(self, rng):
+        """The entity mixer reuses the temporal mixer's distances, which
+        is only valid while both hold one bank: no write may split them."""
+        model = FOCUSForecaster(self._config(), prototypes=prototypes(rng))
+
+        def shared(model):
+            extractor = model.extractor
+            return extractor.entity_mixer.prototypes is extractor.temporal_mixer.prototypes
+
+        assert shared(model)
+        model.set_prototypes(rng.standard_normal((4, 6)))
+        model.update_prototype(1, np.arange(6.0))
+        state = model.state_dict()
+        model.load_state_dict(state)
+        assert shared(model)
+        assert shared(FOCUSForecaster.from_snapshot(model.snapshot()))
+        bad = dict(state)
+        bad["extractor.entity_mixer.prototypes__buffer"] = state[
+            "extractor.temporal_mixer.prototypes__buffer"
+        ] + 1.0
+        with pytest.raises(ValueError, match="shared buffer"):
+            model.load_state_dict(bad)
+        model.to_dtype(np.float32)
+        assert shared(model)
+
+    def test_shared_distances_match_per_mixer_distances(self, rng):
+        """One distance op for both mixers gives the bits of each mixer
+        computing its own, eager and compiled."""
+        model = FOCUSForecaster(self._config(n_layers=2), prototypes=prototypes(rng))
+        model.eval()
+        windows = rng.standard_normal((5, 24, 3))
+        windows[1, :6, 0] = 1.0  # a flat segment
+        shared = model.forecast_batch(windows)
+        planned = model.forecast_batch(windows, engine="plan")
+        model.extractor.mixer_kind = "own-distances"  # each mixer runs its own
+        try:
+            separate = model.forecast_batch(windows)
+        finally:
+            model.extractor.mixer_kind = "proto"
+        assert np.array_equal(shared, separate)
+        assert np.array_equal(planned, separate)
+
     def test_forward_without_prototypes_raises(self, rng):
         model = FOCUSForecaster(self._config())
         with pytest.raises(RuntimeError, match="prototypes"):

@@ -439,3 +439,152 @@ class TestBackgroundLoop:
         assert time.monotonic() - started < 2.0
         np.testing.assert_array_equal(worker.model.prototype_values(), live)
         assert not events_of(sink, "maintenance_swap")
+
+
+class TestRecordMany:
+    """``record_many`` is exactly one ``record`` per row, in order."""
+
+    TENANTS = ["tenant-0", "tenant-1", "tenant-2"]
+
+    @staticmethod
+    def scenario():
+        """Ingest steps ``(entity ids, rows)`` plus the job/swap calls
+        between them: regime A, a drift to regime B (alarm, settled job,
+        swap), a NaN row mid-step, a forced bad swap whose inline
+        rollback check fires mid-step, and one tenant's 4-row block."""
+        rng = np.random.default_rng(5)
+        tenants = TestRecordMany.TENANTS
+        streams = {
+            tenant: np.concatenate(
+                [regime_rows(rng, 48), regime_rows(rng, 120, fast=True)]
+            )
+            for tenant in tenants
+        }
+        actions = []
+        for step in range(168):
+            rows = np.stack([streams[tenant][step] for tenant in tenants])
+            if step == 100:
+                rows[1] = np.nan
+            actions.append(("rows", tenants, rows))
+            if step == 90:
+                actions.append(("tick",))
+            if step == 111:
+                actions.append(("garbage",))
+            if step == 140:
+                block = regime_rows(rng, 4)
+                actions.append(("rows", ["tenant-2"] * 4, block))
+        return actions
+
+    @staticmethod
+    def drive(batched: bool):
+        sink = ListSink()
+        worker = make_worker(
+            sink=sink, history_rows=64, mode="full", settle_rows=12,
+            rollback_check_every=3,
+        )
+        checks = []
+        check = worker.check_rollback
+
+        def traced_check(force=False):
+            history, starts = worker.history.snapshot_with_starts()
+            observed = sum(starts[e] + len(rows) for e, rows in history.items())
+            result = check(force=force)
+            checks.append((observed, history, result))
+            return result
+
+        worker.check_rollback = traced_check
+        states = []
+        boundaries = {0}
+        observed = 0
+        for action in TestRecordMany.scenario():
+            if action[0] == "tick":
+                worker.tick()
+            elif action[0] == "garbage":
+                worker.propose(worker.model.prototype_values() + 25.0, force=True)
+            else:
+                _, entity_ids, rows = action
+                if batched:
+                    worker.record_many(entity_ids, rows)
+                else:
+                    for entity_id, row in zip(entity_ids, rows):
+                        worker.record(entity_id, row)
+                observed += len(rows)
+                boundaries.add(observed)
+            states.append(TestRecordMany.state(worker))
+        return worker, sink, checks, states, boundaries
+
+    @staticmethod
+    def state(worker):
+        monitor = worker.monitor
+        history, starts = worker.history.snapshot_with_starts()
+        with worker._watch_lock:
+            watch = None if worker._watch is None else {
+                key: value for key, value in worker._watch.items()
+                if key not in ("scorer", "trace")
+            }
+        return {
+            "stats": worker.stats(),
+            "history": history,
+            "starts": starts,
+            "countdown": dict(worker._rows_since_profile),
+            "bank": worker.model.prototype_values(),
+            "monitor": (
+                monitor.forecasts_seen, monitor.utilization.copy(),
+                None if monitor.baseline is None else monitor.baseline.copy(),
+                monitor.last_drift, monitor.last_entropy, monitor.alarms,
+                monitor.alarmed, monitor._streak,
+                [counts.copy() for counts in monitor._recent],
+            ),
+            "queue": (
+                worker._pending_trigger, worker._pending_rows_mark,
+                worker._in_flight, worker._watch_check_due,
+            ),
+            "watch": watch,
+        }
+
+    @staticmethod
+    def events(sink):
+        volatile = ("ts", "trace_id", "elapsed_s")
+        return [
+            {key: value for key, value in event.items() if key not in volatile}
+            for event in sink.events
+        ]
+
+    def test_matches_per_row_record(self):
+        worker, sink, checks, states, boundaries = self.drive(batched=True)
+        _, ref_sink, ref_checks, ref_states, _ = self.drive(batched=False)
+
+        # The scenario covers what the contract is about.
+        stats = worker.stats()
+        assert stats["alarms"] >= 1 and stats["jobs_swapped"] >= 2
+        assert stats["rollbacks"] == 1
+        assert worker.history.dropped_rows == 1
+        rolled = [observed for observed, _, result in checks
+                  if result is not None and result["status"] == "rolled_back"]
+        assert rolled and rolled[0] not in boundaries  # fired mid-step
+
+        _assert_same(self.events(sink), self.events(ref_sink))
+        _assert_same(checks, ref_checks)
+        _assert_same(states, ref_states)
+
+    def test_rejects_misshapen_rows(self):
+        worker = make_worker()
+        with pytest.raises(ValueError, match="rows"):
+            worker.record_many(["a", "b"], np.zeros((3, 2)))
+
+
+def _assert_same(left, right, path="value"):
+    """Deep equality of nested containers; arrays bitwise."""
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        assert isinstance(left, np.ndarray) and isinstance(right, np.ndarray), path
+        assert left.dtype == right.dtype and np.array_equal(left, right, equal_nan=True), path
+    elif isinstance(left, dict):
+        assert isinstance(right, dict) and list(left) == list(right), path
+        for key in left:
+            _assert_same(left[key], right[key], f"{path}[{key!r}]")
+    elif isinstance(left, (list, tuple)):
+        assert type(left) is type(right) and len(left) == len(right), path
+        for index, (a, b) in enumerate(zip(left, right)):
+            _assert_same(a, b, f"{path}[{index}]")
+    else:
+        assert left == right or (left != left and right != right), path

@@ -1,7 +1,7 @@
-"""Power-of-two chunked replay: any batch size, at most six plans.
+"""Power-of-two chunked replay: any batch size, at most five plans.
 
 ``forecast_batch(engine="plan")`` runs a batch as power-of-two row
-chunks capped at ``PLAN_MAX_ROWS`` (32), so ragged serving traffic
+chunks capped at ``PLAN_MAX_ROWS`` (16), so ragged serving traffic
 reuses a bounded set of plans instead of tracing one per batch size.
 Batches of ``TWO_LANE_MIN_ROWS`` and more are first split into two row
 halves replayed at once (``tests/plan/test_lanes.py``).  Rows are
@@ -23,11 +23,12 @@ pytestmark = pytest.mark.plan
 
 @pytest.mark.parametrize(
     "batch, chunks",
-    [(0, []), (1, [1]), (19, [16, 2, 1]), (32, [32]), (33, [32, 1]),
-     (70, [32, 32, 4, 2])],
+    [(0, []), (1, [1]), (19, [16, 2, 1]), (32, [16, 16]), (33, [16, 16, 1]),
+     (70, [16, 16, 16, 16, 4, 2])],
 )
 def test_chunks_are_powers_of_two_largest_first(batch, chunks):
-    assert plan_chunks(batch, 32) == chunks
+    assert FOCUSForecaster.PLAN_MAX_ROWS == 16
+    assert plan_chunks(batch, FOCUSForecaster.PLAN_MAX_ROWS) == chunks
 
 
 def test_every_batch_size_matches_eager_bitwise():
@@ -39,10 +40,10 @@ def test_every_batch_size_matches_eager_bitwise():
         eager = model.forecast_batch(windows, engine="eager")
         assert plan.dtype == np.float64 and plan.shape == eager.shape
         assert np.array_equal(plan, eager, equal_nan=True), f"batch {batch}"
-    assert len(model._plans) <= 6
+    assert sorted(key[0][0] for key in model._plans) == [1, 2, 4, 8, 16]
 
 
-def test_serving_sizes_one_to_32_trace_at_most_six_plans(monkeypatch):
+def test_serving_sizes_one_to_32_trace_at_most_five_plans(monkeypatch):
     # B=32 runs as two 16-row lanes (on any host, for a fixed list).
     monkeypatch.setattr(model_module, "lanes_available", lambda: True)
     model = build_plan_model()

@@ -167,7 +167,7 @@ class TestCommands:
         assert "telemetry" in capsys.readouterr().out
         with open(path) as handle:
             report = json.load(handle)
-        assert report["schema"] == 10
+        assert report["schema"] == 11
         telemetry = report["telemetry"]
         assert telemetry["events_per_s"] > 0
         assert telemetry["off_ms"] > 0 and telemetry["on_ms"] > 0
@@ -179,6 +179,8 @@ class TestCommands:
         assert observability["aggregate_ms"] > 0
         assert observability["merged_series"] > 0
         assert observability["gate_pct"] == 3.0
+        low, high = observability["overhead_iqr_pct"]
+        assert low <= observability["overhead_pct"] <= high
         # Whether the gate *passed* is CI's call (dedicated job, fresh
         # process); in-suite the measurement inherits the test heap.
         assert isinstance(observability["meets_overhead_gate"], bool)
