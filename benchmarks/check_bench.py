@@ -28,6 +28,23 @@ def check_clustering(report: dict) -> list[str]:
     return failures
 
 
+#: A training step may peak at most this far above one live graph: the
+#: step's gradients and optimizer temporaries ride on top of it, a
+#: second graph does not.
+ONE_GRAPH_FACTOR = 1.25
+
+
+def check_training_memory(report: dict) -> list[str]:
+    step = report["training_step"]
+    graph, peak = step["graph_traced_mb"], step["peak_traced_mb"]
+    print(f"training step: graph {graph:.1f}MB traced, two-step peak "
+          f"{peak:.1f}MB ({peak / graph:.2f}x)")
+    if peak <= ONE_GRAPH_FACTOR * graph:
+        return []
+    return [f"two training steps peak at {peak:.1f}MB > {ONE_GRAPH_FACTOR}x "
+            f"one {graph:.1f}MB graph: a step's graph outlives the step"]
+
+
 def check_telemetry(report: dict) -> list[str]:
     telemetry = report["telemetry"]
     overhead = telemetry["overhead_off_pct"]
@@ -107,6 +124,7 @@ def check_plan(report: dict) -> list[str]:
 
 CHECKS = (
     check_clustering,
+    check_training_memory,
     check_telemetry,
     check_serving,
     check_fleet,

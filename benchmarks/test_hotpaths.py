@@ -161,7 +161,7 @@ def test_report_is_json_serializable():
 
     report = run_benchmarks(quick=True)
     encoded = json.loads(json.dumps(report))
-    assert encoded["schema"] == 11
+    assert encoded["schema"] == 12
     assert set(encoded) == {
         "schema",
         "mode",

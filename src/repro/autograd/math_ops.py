@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _special
 
-from repro.autograd.tensor import Tensor, as_tensor
+from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled
 
 _SQRT_2 = float(np.sqrt(2.0))
 
@@ -98,10 +98,12 @@ def gelu(x: Tensor) -> Tensor:
     """Exact GELU: ``x * Phi(x)`` with the Gaussian CDF ``Phi``."""
     x = as_tensor(x)
     cdf = 0.5 * (1.0 + _special.erf(x.data / _SQRT_2))
-    pdf = np.exp(-0.5 * x.data**2) / float(np.sqrt(2.0 * np.pi))
-    return Tensor._make(
-        x.data * cdf, [(x, lambda g: g * (cdf + x.data * pdf))], "gelu"
-    )
+    slope = None
+    if x.requires_grad and is_grad_enabled():
+        # The backward keeps one array: the local slope Phi(x) + x phi(x).
+        pdf = np.exp(-0.5 * x.data**2) / float(np.sqrt(2.0 * np.pi))
+        slope = cdf + x.data * pdf
+    return Tensor._make(x.data * cdf, [(x, lambda g: g * slope)], "gelu")
 
 
 def silu(x: Tensor) -> Tensor:

@@ -5,7 +5,12 @@ records how it was produced: every differentiable operation attaches a list
 of ``(parent, grad_fn)`` pairs to its output, where ``grad_fn`` maps the
 gradient flowing into the output to the gradient contribution for that
 parent.  :meth:`Tensor.backward` walks the graph in reverse topological
-order and accumulates contributions into ``Tensor.grad``.
+order and accumulates contributions into ``Tensor.grad``.  It consumes
+the graph as it goes (PyTorch's ``retain_graph=False``): once a node's
+gradient has been handed to its parents, the node drops its parent list,
+and with it the closures and the arrays they hold, so the walk frees
+the forward's memory while it runs.  A consumed graph cannot be walked
+again; build a new forward for each backward.
 
 Broadcasting follows numpy semantics; gradients of broadcast operands are
 reduced back to the operand's shape via :func:`unbroadcast`.
@@ -241,8 +246,9 @@ class Tensor:
             self.data = np.asarray(data, dtype=get_default_dtype())
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: np.ndarray | None = None
-        # list of (parent Tensor, grad_fn: ndarray -> ndarray) pairs
-        self._parents: list[tuple["Tensor", Callable[[np.ndarray], np.ndarray]]] = []
+        # list of (parent Tensor, grad_fn: ndarray -> ndarray) pairs; None
+        # once backward() has consumed this interior node
+        self._parents: list[tuple["Tensor", Callable[[np.ndarray], np.ndarray]]] | None = []
         self._op_name: str = "leaf"
         if _CAPTURE_COUNT:
             capture = getattr(_CAPTURE_STATE, "capture", None)
@@ -353,10 +359,14 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def backward(self, grad: np.ndarray | float | None = None) -> None:
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, consuming its graph.
 
         ``grad`` defaults to 1 for scalar outputs; non-scalar roots require
-        an explicit gradient of matching shape.
+        an explicit gradient of matching shape.  Each interior node is
+        released as soon as its gradient has reached its parents, so the
+        graph cannot be walked twice: a second ``backward()`` through any
+        of its interior nodes raises.  Leaf gradients still accumulate
+        across separately built graphs.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -384,21 +394,29 @@ class Tensor:
         if observer is not None and not getattr(observer, "wants_backward", False):
             observer = None
 
-        topo = _topological_order(self)
+        # Root last: popping walks it in reverse topological order and
+        # drops the list's reference to each node as it is processed.
+        pending = _topological_order(self)
         grads: dict[int, np.ndarray] = {id(self): root}
         # ids of grads entries whose buffer this pass may mutate or donate
         owned: set[int] = {id(self)} if (inplace and root_owned) else set()
         # per-(shape, dtype) scratch reused by unbroadcast reductions that
         # are immediately folded into an existing accumulation buffer
         scratch: dict[tuple, np.ndarray] = {}
-        for node in topo:
+        while pending:
+            node = pending.pop()
             node_key = id(node)
             node_grad = grads.pop(node_key, None)
+            parents = node._parents
+            if parents:
+                # Consume the node: its closures, and the forward arrays
+                # only they hold, die with ``parents`` below.
+                node._parents = None
             if node_grad is None:
                 continue
             node_owned = node_key in owned
             owned.discard(node_key)
-            if not node._parents:
+            if not parents:
                 # Leaf: accumulate into .grad
                 if node.grad is None:
                     if node_owned:
@@ -421,7 +439,7 @@ class Tensor:
                 observer(
                     node._op_name + ".bwd",
                     node.data.shape,
-                    [p.shape for p, _ in node._parents],
+                    [p.shape for p, _ in parents],
                     node.data.dtype,
                 )
             # Interior node: the root (and retained grads) keep their own .grad
@@ -431,7 +449,7 @@ class Tensor:
                 else:
                     node.grad = node.grad + node_grad
                     note_alloc(node.grad)
-            for parent, grad_fn in node._parents:
+            for parent, grad_fn in parents:
                 raw = grad_fn(node_grad)
                 arr = np.asarray(raw, dtype=parent.data.dtype)
                 shape = parent.data.shape
@@ -723,7 +741,11 @@ def _raw(value) -> np.ndarray:
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
-    """Return tensors reachable from ``root`` in reverse topological order."""
+    """Return tensors reachable from ``root`` in topological order (every
+    node after its parents, ``root`` last).
+
+    Raises if the walk reaches a node an earlier ``backward()`` consumed.
+    """
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -734,12 +756,16 @@ def _topological_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise RuntimeError(
+                "backward() reached a graph an earlier backward() already "
+                "consumed; build a new forward for each backward"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    order.reverse()
     return order
 
 

@@ -294,7 +294,8 @@ def _cmd_bench(args) -> int:
         f"float32 {step['float32_ms']:.1f}ms  ({step['speedup_fp32']:.2f}x); "
         f"allocations/step {step['allocs_per_step_legacy']} -> "
         f"{step['allocs_per_step_inplace']} "
-        f"(-{step['alloc_reduction']:.0%})"
+        f"(-{step['alloc_reduction']:.0%}); graph "
+        f"{step['graph_traced_mb']:.1f}MB, two-step peak {step['peak_traced_mb']:.1f}MB"
     )
     telemetry = report["telemetry"]
     print(

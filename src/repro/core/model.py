@@ -105,10 +105,10 @@ def _replay_chunks(chunks: list, prediction: np.ndarray) -> None:
     """Replay ``FOCUSForecaster._chunk_plans`` chunks into ``prediction``.
 
     Writing each chunk's arena result into the float64 ``prediction`` is
-    the copy-out: arenas belong to the replaying thread.
+    the copy-out: an arena is reused by the next replay in its lane.
     """
-    for chunk, start, plan in chunks:
-        prediction[start : start + len(chunk)] = plan.replay(chunk)
+    for chunk, start, plan, arena in chunks:
+        prediction[start : start + len(chunk)] = plan.replay(chunk, arena=arena)
 
 
 class FOCUSForecaster(Module):
@@ -456,11 +456,13 @@ class FOCUSForecaster(Module):
                 # each lane writing its rows into ``prediction``.
                 prediction = np.empty((rows, cfg.horizon, cfg.num_entities))
                 split = (rows + 1) // 2
-                # Fetch (and trace) both halves' plans before the lanes
-                # start: the lanes then only replay, and a trace never
-                # skews the cost they measure of one way or the other.
+                # Fetch (and trace) both halves' plans and arenas before
+                # the lanes start: the lanes then only replay, a trace
+                # never skews the cost they measure of one way or the
+                # other, and the second lane's arena is allocated here,
+                # on this thread, whichever thread replays it.
                 head = self._chunk_plans(windows[:split])
-                tail = self._chunk_plans(windows[split:])
+                tail = self._chunk_plans(windows[split:], lane=1)
                 run_two_lanes(
                     lambda: _replay_chunks(head, prediction[:split]),
                     lambda: _replay_chunks(tail, prediction[split:]),
@@ -507,14 +509,16 @@ class FOCUSForecaster(Module):
     #: forwards of maintenance and shadow scoring on one lane.
     TWO_LANE_MIN_ROWS = 32
 
-    def _chunk_plans(self, windows: np.ndarray) -> list:
-        """``(chunk, start, plan)`` for each :func:`plan_chunks` row chunk
-        of ``windows``, tracing missing plans on this thread."""
+    def _chunk_plans(self, windows: np.ndarray, lane: int = 0) -> list:
+        """``(chunk, start, plan, arena)`` for each :func:`plan_chunks`
+        row chunk of ``windows``, tracing missing plans and building
+        missing ``lane`` arenas on this thread."""
         chunks = []
         start = 0
         for rows in plan_chunks(len(windows), self.PLAN_MAX_ROWS):
             chunk = windows[start : start + rows]
-            chunks.append((chunk, start, self._plan_for(chunk)))
+            plan = self._plan_for(chunk)
+            chunks.append((chunk, start, plan, plan.arena(lane)))
             start += rows
         return chunks
 

@@ -151,7 +151,10 @@ class ObservationRing:
 
     def observe(self, observation: np.ndarray) -> IngestResult:
         """Guard and write one ``(N,)`` row; returns what happened."""
-        observation = np.asarray(observation, dtype=self.storage.dtype)
+        # A value past the storage dtype's range casts to inf, which the
+        # guard below handles; the cast need not warn.
+        with np.errstate(over="ignore"):
+            observation = np.asarray(observation, dtype=self.storage.dtype)
         if observation.shape != (self.num_entities,):
             raise ValueError(
                 f"expected ({self.num_entities},) observation, "

@@ -36,7 +36,12 @@ and elementwise ops whose source storage dies at that step write in
 place — fusing elementwise chains into a single buffer.  Arenas are
 per-thread (``threading.local``), so one shared plan replays
 concurrently from many serving threads without torn buffers; on one
-thread, plans share equal-spec buffers through a per-thread pool.
+thread, plans share equal-spec buffers through a per-thread pool.  A
+thread that hands part of a batch to a helper thread
+(:mod:`repro.engine.lanes`) gives it an arena of its own second *lane*,
+built on the calling thread (:meth:`ExecutionPlan.arena`), so the
+helper writes into memory the caller allocated instead of growing a
+heap of its own.
 """
 
 from __future__ import annotations
@@ -145,12 +150,17 @@ class _Scratch(dict):
     """A step's scratch state (one per step per arena).
 
     ``scratch[name, shape, dtype]`` is the step's temporary of that spec,
-    drawn once from the thread's pool (:func:`scratch_buffer`) and kept
-    here so it stays pooled.  Declared ops receive it as ``work``.
+    drawn once from the thread's pool for the arena's lane
+    (:func:`scratch_buffer`) and kept here so it stays pooled.  Declared
+    ops receive it as ``work``.
     """
 
+    def __init__(self, lane: int):
+        super().__init__()
+        self.lane = lane
+
     def __missing__(self, key):
-        buf = self[key] = scratch_buffer(*key)
+        buf = self[key] = scratch_buffer(*key, lane=self.lane)
         return buf
 
 
@@ -370,11 +380,11 @@ class PlanStats:
     arena_bytes: int  # bytes per per-thread arena
 
 
-# A thread runs one replay at a time and arena buffers are only live
-# during a replay, so every plan on a thread — of any model — draws
-# equal-spec buffers from one pool.  Values are weak: a buffer lives as
-# long as some arena holds it, and a model awaiting garbage collection
-# keeps no buffer memory of its own.
+# A thread runs one replay per lane at a time and arena buffers are only
+# live during a replay, so every plan on a thread — of any model — draws
+# equal-spec buffers of one lane from one pool.  Values are weak: a
+# buffer lives as long as some arena holds it, and a model awaiting
+# garbage collection keeps no buffer memory of its own.
 _BUFFER_POOL = threading.local()
 
 
@@ -388,39 +398,40 @@ def _pooled(key, shape, dtype) -> np.ndarray:
     return buffer
 
 
-def _pooled_buffers(specs) -> list[np.ndarray]:
+def _pooled_buffers(specs, lane: int) -> list[np.ndarray]:
     taken: collections.Counter = collections.Counter()
     buffers = []
     for shape, dtype in specs:
         spec = (shape, dtype.str)
         # The n-th buffer of this spec in a plan.
-        buffers.append(_pooled((*spec, taken[spec]), shape, dtype))
+        buffers.append(_pooled((lane, *spec, taken[spec]), shape, dtype))
         taken[spec] += 1
     return buffers
 
 
-def scratch_buffer(name: str, shape, dtype) -> np.ndarray:
+def scratch_buffer(name: str, shape, dtype, lane: int = 0) -> np.ndarray:
     """A kernel temporary, shared through this thread's pool by every
-    step of every plan that asks for the same ``name``, size and dtype.
+    step of every plan of ``lane`` that asks for the same ``name``, size
+    and dtype.
 
     Only valid within the calling kernel's own step: steps run one at a
-    time on a thread, but the next step asking for the key overwrites
+    time on a lane, but the next step asking for the key overwrites
     it.  Keep a reference (e.g. in the step's scratch dict) so the
     buffer stays pooled.
     """
     dtype = np.dtype(dtype)
     size = int(np.prod(shape, dtype=np.int64))
-    flat = _pooled(("scratch", name, size, dtype.str), (size,), dtype)
+    flat = _pooled(("scratch", lane, name, size, dtype.str), (size,), dtype)
     return flat.reshape(shape)
 
 
 class ExecutionPlan:
     """A compiled forward: flat kernel steps over a per-thread arena.
 
-    ``replay`` returns an array owned by the calling thread's arena
-    buffers, which every plan on that thread shares; it is only valid
-    until that thread's next ``replay`` of any plan.  Callers that keep
-    the result (e.g. ``forecast_batch``) copy it out first.
+    ``replay`` returns an array owned by the arena's buffers, which
+    every plan of that thread and lane shares; it is only valid until
+    the next replay in that thread's lane, of any plan.  Callers that
+    keep the result (e.g. ``forecast_batch``) copy it out first.
     """
 
     def __init__(
@@ -443,8 +454,9 @@ class ExecutionPlan:
         self._tls = threading.local()
 
     # -- replay ---------------------------------------------------------
-    def _new_arena(self):
-        """Per-thread state: value slots plus fully-resolved step tuples.
+    def _new_arena(self, lane: int):
+        """Per-thread, per-lane state: value slots plus fully-resolved
+        step tuples.
 
         Buffers and scratch dicts are bound into the step tuples once,
         so the replay loop does no per-step buffer indexing.  A source
@@ -459,7 +471,7 @@ class ExecutionPlan:
         gets its argument list built once, here, instead of per replay.
         """
         values = list(self._template)
-        buffers = _pooled_buffers(self._buffer_specs)
+        buffers = _pooled_buffers(self._buffer_specs, lane)
         input_slots = set(self._input_slots)
         stable = {
             slot: value
@@ -477,7 +489,7 @@ class ExecutionPlan:
                     continue
             out_buf = None if buf is None else buffers[buf]
             args = [stable[j] for j in srcs] if all(j in stable for j in srcs) else None
-            steps.append((kernel, args, srcs, out_slot, out_buf, _Scratch(), extras))
+            steps.append((kernel, args, srcs, out_slot, out_buf, _Scratch(lane), extras))
             if out_buf is not None:
                 stable[out_slot] = out_buf
         # Slots a replay fills with arrays of its own (the inputs, fresh
@@ -495,8 +507,32 @@ class ExecutionPlan:
                 "bit-for-bit; a replay kernel diverged from its eager op"
             )
 
-    def replay(self, *arrays: np.ndarray) -> np.ndarray:
-        """Execute the plan on ``arrays`` (one per traced input)."""
+    def arena(self, lane: int = 0):
+        """The calling thread's arena for ``lane``, built on first use.
+
+        A thread replays in its lane-0 arena by default.  A caller that
+        splits a batch across two threads fetches a lane-1 arena here,
+        on its own thread, and passes it to the replay the other thread
+        runs: its buffers come from the caller's pool and heap, and no
+        other caller ever replays in it.  A new arena past lane 0 is
+        replayed once here, on zeros, so that every kernel temporary is
+        drawn now, on this thread, and not on the thread that replays it.
+        """
+        arenas = getattr(self._tls, "arenas", None)
+        if arenas is None:
+            arenas = self._tls.arenas = {}
+        arena = arenas.get(lane)
+        if arena is None:
+            arena = arenas[lane] = self._new_arena(lane)
+            if lane:
+                zeros = [np.zeros(shape, dtype) for shape, dtype in self._input_specs]
+                with np.errstate(all="ignore"):
+                    self.replay(*zeros, arena=arena)
+        return arena
+
+    def replay(self, *arrays: np.ndarray, arena=None) -> np.ndarray:
+        """Execute the plan on ``arrays`` (one per traced input), in
+        ``arena`` (from :meth:`arena`; default: this thread's lane 0)."""
         if len(arrays) != len(self._input_slots):
             raise PlanError(
                 f"plan expects {len(self._input_slots)} inputs, got {len(arrays)}"
@@ -507,9 +543,8 @@ class ExecutionPlan:
                     f"plan was traced for input {shape}/{dtype}, "
                     f"got {array.shape}/{array.dtype}; retrace for new signatures"
                 )
-        arena = getattr(self._tls, "arena", None)
         if arena is None:
-            arena = self._tls.arena = self._new_arena()
+            arena = self.arena()
         values, steps, transient = arena
         for slot, array in zip(self._input_slots, arrays):
             values[slot] = array

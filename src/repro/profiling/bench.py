@@ -71,8 +71,10 @@ from repro.autograd import Tensor
 # schema 10 dropped protoattn_forward (it timed a C_Q cache that no
 # longer exists) and made plan_engine ratios paired medians with IQRs;
 # schema 11 times fleet_observability rounds in thread CPU time and
-# reports their spread (overhead_iqr_pct).
-SCHEMA_VERSION = 11
+# reports their spread (overhead_iqr_pct); schema 12 added
+# training_step.graph_traced_mb / peak_traced_mb (one live training
+# graph).
+SCHEMA_VERSION = 12
 
 # Pinned dimensions: large enough that the hot paths dominate, small
 # enough that the full benchmark stays under ~1 minute on CPU.
@@ -101,6 +103,12 @@ _STEP_FULL = {"lookback": 192, "horizon": 24, "entities": 16, "segment_length": 
 _STEP_QUICK = {"lookback": 96, "horizon": 12, "entities": 8, "segment_length": 12,
                "num_prototypes": 4, "d_model": 32, "batch": 8,
                "warmup": 1, "rounds": 3}
+
+# The benchmark's pinned model (perfbench/fixture.py CONFIG) at the
+# trainer's default batch, in both modes: the one-graph gate is a ratio
+# of two tracemalloc readings and needs no repetitions.
+_STEP_MEMORY = {"lookback": 96, "horizon": 24, "entities": 12, "segment_length": 12,
+                "num_prototypes": 8, "d_model": 32, "batch": 32}
 
 _TELEM_FULL = {"warmup": 2, "rounds": 15, "events": 5000}
 _TELEM_QUICK = {"warmup": 1, "rounds": 41, "events": 1000}
@@ -385,6 +393,7 @@ def bench_training_step(quick: bool = False) -> dict:
         _one_step(model, optimizer, x, y, legacy=True)
     legacy_allocs, legacy_bytes = allocs.count, allocs.bytes
 
+    graph_mb, peak_mb = _traced_step_memory(_STEP_MEMORY)
     return {
         "config": dict(dims),
         "float64_ms": round(timings["float64"], 3),
@@ -397,7 +406,48 @@ def bench_training_step(quick: bool = False) -> dict:
         "alloc_reduction": round(
             1.0 - inplace_allocs / legacy_allocs, 3
         ) if legacy_allocs else 0.0,
+        "memory_config": dict(_STEP_MEMORY),
+        "graph_traced_mb": round(graph_mb, 2),
+        "peak_traced_mb": round(peak_mb, 2),
     }
+
+
+def _traced_step_memory(dims: dict) -> tuple[float, float]:
+    """(one graph, peak over two training steps) in MB, as tracemalloc
+    sees them (numpy registers its buffers with it).
+
+    The graph is what one forward plus the MSE loss leaves live.  The
+    peak is over two consecutive steps of ``Trainer._epoch``, the
+    trainer's own loop: it stays near one graph only while nothing of a
+    step's graph survives into the next step's forward.
+    """
+    import tracemalloc
+
+    from repro.data.windows import DataLoader, SlidingWindowDataset
+    from repro.training import Trainer, TrainerConfig
+
+    model, _, _, _ = _build_step_fixture(dict(dims, batch=1), np.float64)
+    series = np.random.default_rng(6).standard_normal(
+        (2 * dims["batch"] + dims["lookback"] + dims["horizon"] - 1, dims["entities"])
+    )
+    dataset = SlidingWindowDataset(series, dims["lookback"], dims["horizon"])
+    loader = DataLoader(dataset, dims["batch"])  # two batches: two steps
+    trainer = Trainer(model, TrainerConfig(batch_size=dims["batch"]))
+    trainer._epoch(loader)  # warm: optimizer state and scratch exist
+    x, y = (Tensor(array) for array in dataset.batch(np.arange(dims["batch"])))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = ((model(x) - y) ** 2.0).mean()
+        graph = tracemalloc.get_traced_memory()[0] - base
+        del loss
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trainer._epoch(loader)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return graph / 2**20, peak / 2**20
 
 
 def _one_step_guarded(model, optimizer, x, y, instruments) -> None:

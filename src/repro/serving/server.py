@@ -269,7 +269,11 @@ class ForecastServer:
             raise ValueError(f"expected {expected} observations, got {block.shape}")
         sessions = self.store.sessions(entity_ids)
         maintenance = self._maintenance
-        if np.isfinite(block.astype(self.store.dtype, copy=False)).all():
+        # A value past the storage dtype's range casts to inf and so
+        # takes the guarded per-row path below; the cast need not warn.
+        with np.errstate(over="ignore"):
+            stored = block.astype(self.store.dtype, copy=False)
+        if np.isfinite(stored).all():
             results = [session.push(row) for session, row in zip(sessions, block)]
             if maintenance is not None:
                 maintenance.record_many(entity_ids, block)

@@ -165,11 +165,18 @@ class Trainer:
     ) -> float:
         self.model.train()
         dtype = self._model_dtype()
+        self.optimizer.zero_grad()
         total, batches = 0.0, 0
         for x_batch, y_batch in loader:
             step_started = time.perf_counter() if instruments is not None else 0.0
             x = self._as_batch(x_batch, dtype)
             y = self._as_batch(y_batch, dtype)
+            # ``pred`` and ``loss`` stay bound until the next forward has
+            # run.  After ``backward`` they hold only their own outputs,
+            # but those sit high in the heap the freed graph leaves: a
+            # step that released them too (a step function returning)
+            # let malloc hand that memory back to the OS, and the next
+            # forward faulted it back in (~8x the minor page faults).
             pred = self.model(x)
             loss = ((pred - y) ** 2.0).mean()
             if not np.isfinite(loss.item()):
@@ -177,11 +184,13 @@ class Trainer:
                     f"non-finite training loss ({loss.item()}) at batch {batches}; "
                     "check the learning rate and input normalization"
                 )
-            self.optimizer.zero_grad()
             loss.backward()
             if self.config.grad_clip:
                 clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
             self.optimizer.step()
+            # Drop the gradients now rather than before the next
+            # backward, so the next forward can reuse their memory.
+            self.optimizer.zero_grad()
             total += loss.item()
             batches += 1
             if instruments is not None:

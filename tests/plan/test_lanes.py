@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import model as model_module
 from repro.engine import lanes
+from repro.engine import plan as plan_module
 
 from .conftest import build_plan_model, make_windows
 
@@ -105,6 +106,43 @@ def test_helper_failure_reaches_the_caller_and_the_next_call_succeeds(monkeypatc
         model.forecast_batch(windows, engine="plan")
     monkeypatch.undo()
     assert np.array_equal(model.forecast_batch(windows, engine="plan"), eager)
+
+
+@needs_two_cpus
+@pytest.mark.usefixtures("parallel_first")
+def test_helper_lane_replays_in_buffers_the_caller_allocated(monkeypatch):
+    """The second lane's arena buffers and kernel temporaries are drawn
+    on the calling thread when the plan is fetched; the helper only
+    writes into them."""
+    model = build_plan_model()
+    windows = make_windows(model, 32, seed=11)
+    eager = model.forecast_batch(windows, engine="eager")
+    drawn = []
+    original_pooled = plan_module._pooled
+
+    def recording(key, shape, dtype):
+        drawn.append((key, threading.current_thread().name))
+        return original_pooled(key, shape, dtype)
+
+    original_replay = model_module._replay_chunks
+    helper_started = threading.Event()
+
+    def helper_takes_its_half(chunks, prediction):
+        if threading.current_thread().name == "repro-plan-lane":
+            helper_started.set()
+        else:
+            assert helper_started.wait(timeout=30.0)
+        original_replay(chunks, prediction)
+
+    monkeypatch.setattr(plan_module, "_pooled", recording)
+    monkeypatch.setattr(model_module, "_replay_chunks", helper_takes_its_half)
+    got = model.forecast_batch(windows, engine="plan")
+    assert np.array_equal(got, eager)
+    assert helper_started.is_set()
+    caller = threading.current_thread().name
+    lane_keys = [key for key, _ in drawn if key[0] == 1 or key[:2] == ("scratch", 1)]
+    assert lane_keys, "the second lane drew no buffers"
+    assert {name for _, name in drawn} == {caller}
 
 
 @pytest.mark.usefixtures("parallel_first")

@@ -19,7 +19,12 @@ from repro.telemetry import DriftConfig
 
 from .conftest import LOOKBACK, NUM_ENTITIES
 
-pytestmark = pytest.mark.serve
+pytestmark = [
+    pytest.mark.serve,
+    # A float32 cast that overflows must stay silent (it takes the
+    # guarded path); a warning here means the overflow guard is gone.
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+]
 
 TENANTS = ["t-0", "t-1", "t-2", "t-3"]
 

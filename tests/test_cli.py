@@ -153,6 +153,9 @@ class TestCommands:
         assert step["float64_ms"] > 0 and step["float32_ms"] > 0
         assert step["allocs_per_step_inplace"] < step["allocs_per_step_legacy"]
         assert step["alloc_reduction"] > 0
+        # One live training graph: the gate benchmarks/check_bench.py
+        # applies, from tracemalloc readings (no timing involved).
+        assert 0 < step["peak_traced_mb"] <= 1.25 * step["graph_traced_mb"]
 
     def test_bench_no_out_skips_writing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -167,7 +170,7 @@ class TestCommands:
         assert "telemetry" in capsys.readouterr().out
         with open(path) as handle:
             report = json.load(handle)
-        assert report["schema"] == 11
+        assert report["schema"] == 12
         telemetry = report["telemetry"]
         assert telemetry["events_per_s"] > 0
         assert telemetry["off_ms"] > 0 and telemetry["on_ms"] > 0
