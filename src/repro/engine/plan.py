@@ -518,16 +518,21 @@ class ExecutionPlan:
         replayed once here, on zeros, so that every kernel temporary is
         drawn now, on this thread, and not on the thread that replays it.
         """
-        arenas = getattr(self._tls, "arenas", None)
-        if arenas is None:
-            arenas = self._tls.arenas = {}
-        arena = arenas.get(lane)
+        tls = self._tls
+        if not lane:
+            arena = getattr(tls, "arena", None)
+            if arena is None:
+                arena = tls.arena = self._new_arena(0)
+            return arena
+        lanes = getattr(tls, "lanes", None)
+        if lanes is None:
+            lanes = tls.lanes = {}
+        arena = lanes.get(lane)
         if arena is None:
-            arena = arenas[lane] = self._new_arena(lane)
-            if lane:
-                zeros = [np.zeros(shape, dtype) for shape, dtype in self._input_specs]
-                with np.errstate(all="ignore"):
-                    self.replay(*zeros, arena=arena)
+            arena = lanes[lane] = self._new_arena(lane)
+            zeros = [np.zeros(shape, dtype) for shape, dtype in self._input_specs]
+            with np.errstate(all="ignore"):
+                self.replay(*zeros, arena=arena)
         return arena
 
     def replay(self, *arrays: np.ndarray, arena=None) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_each_thread_gets_its_own_arena():
 
     def grab(tid):
         plan.replay(windows)
-        arenas[tid] = plan.arena()
+        arenas[tid] = plan._tls.arena
 
     threads = [threading.Thread(target=grab, args=(tid,)) for tid in range(3)]
     for thread in threads:
