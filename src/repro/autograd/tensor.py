@@ -4,7 +4,8 @@ A ``Tensor`` wraps a ``numpy.ndarray`` and, when gradients are enabled,
 records how it was produced: every differentiable operation attaches a list
 of ``(parent, grad_fn)`` pairs to its output, where ``grad_fn`` maps the
 gradient flowing into the output to the gradient contribution for that
-parent.  :meth:`Tensor.backward` walks the graph in reverse topological
+parent (or to a tuple of contributions, added in order).
+:meth:`Tensor.backward` walks the graph in reverse topological
 order and accumulates contributions into ``Tensor.grad``.  It consumes
 the graph as it goes (PyTorch's ``retain_graph=False``): once a node's
 gradient has been handed to its parents, the node drops its parent list,
@@ -451,55 +452,58 @@ class Tensor:
                     note_alloc(node.grad)
             for parent, grad_fn in parents:
                 raw = grad_fn(node_grad)
-                arr = np.asarray(raw, dtype=parent.data.dtype)
                 shape = parent.data.shape
                 key = id(parent)
-                existing = grads.get(key)
-                if not inplace:
-                    reduced = unbroadcast(arr, shape)
+                # A declared op may hand one input several contributions (a
+                # tuple): each is added in turn, as separate parents would be.
+                for piece in raw if type(raw) is tuple else (raw,):
+                    arr = np.asarray(piece, dtype=parent.data.dtype)
+                    existing = grads.get(key)
+                    if not inplace:
+                        reduced = unbroadcast(arr, shape)
+                        if existing is None:
+                            grads[key] = reduced
+                        else:
+                            grads[key] = existing + reduced
+                            note_alloc(grads[key])
+                        continue
                     if existing is None:
-                        grads[key] = reduced
-                    else:
-                        grads[key] = existing + reduced
-                        note_alloc(grads[key])
-                    continue
-                if existing is None:
+                        if arr.shape != shape:
+                            arr, _ = _unbroadcast(arr, shape)
+                        grads[key] = arr
+                        if (
+                            arr is not node_grad
+                            and arr.base is None
+                            and arr.flags.owndata
+                            and arr.flags.writeable
+                        ):
+                            owned.add(key)
+                        continue
+                    if key in owned:
+                        if arr.shape != shape:
+                            buf = scratch.get((shape, arr.dtype.str))
+                            if buf is None:
+                                buf = np.empty(shape, dtype=arr.dtype)
+                                note_alloc(buf)
+                                scratch[(shape, arr.dtype.str)] = buf
+                            arr, _ = _unbroadcast(arr, shape, out=buf)
+                        np.add(existing, arr, out=existing)
+                        continue
                     if arr.shape != shape:
                         arr, _ = _unbroadcast(arr, shape)
-                    grads[key] = arr
                     if (
                         arr is not node_grad
                         and arr.base is None
                         and arr.flags.owndata
                         and arr.flags.writeable
                     ):
-                        owned.add(key)
-                    continue
-                if key in owned:
-                    if arr.shape != shape:
-                        buf = scratch.get((shape, arr.dtype.str))
-                        if buf is None:
-                            buf = np.empty(shape, dtype=arr.dtype)
-                            note_alloc(buf)
-                            scratch[(shape, arr.dtype.str)] = buf
-                        arr, _ = _unbroadcast(arr, shape, out=buf)
-                    np.add(existing, arr, out=existing)
-                    continue
-                if arr.shape != shape:
-                    arr, _ = _unbroadcast(arr, shape)
-                if (
-                    arr is not node_grad
-                    and arr.base is None
-                    and arr.flags.owndata
-                    and arr.flags.writeable
-                ):
-                    # existing + arr, written into the fresh contribution
-                    np.add(existing, arr, out=arr)
-                    grads[key] = arr
-                else:
-                    grads[key] = existing + arr
-                    note_alloc(grads[key])
-                owned.add(key)
+                        # existing + arr, written into the fresh contribution
+                        np.add(existing, arr, out=arr)
+                        grads[key] = arr
+                    else:
+                        grads[key] = existing + arr
+                        note_alloc(grads[key])
+                    owned.add(key)
 
     def zero_grad(self) -> None:
         self.grad = None

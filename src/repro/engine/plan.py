@@ -164,12 +164,19 @@ class _Scratch(dict):
         return buf
 
 
-def _declared(forward: Callable) -> Callable:
+def _declared(forward: Callable, differentiable: bool) -> Callable:
     """Kernel of a declared op: its forward, writing into the arena
-    buffer, with its temporaries from the step's scratch."""
+    buffer, with its temporaries from the step's scratch.  What a
+    differentiable forward saves for its backward is dropped."""
+    if differentiable:
 
-    def kernel(srcs, out, scratch, extras):
-        return forward(*srcs, out=out, work=scratch, **extras)
+        def kernel(srcs, out, scratch, extras):
+            return forward(*srcs, out=out, work=scratch, **extras)[0]
+
+    else:
+
+        def kernel(srcs, out, scratch, extras):
+            return forward(*srcs, out=out, work=scratch, **extras)
 
     return kernel
 
@@ -567,13 +574,13 @@ def _node_kind(node: CapturedNode) -> tuple[Callable, str]:
     entry = _KERNELS.get(node.op_name)
     if entry is not None:
         return entry
-    forward = FORWARDS.get(node.op_name)
-    if forward is None:
+    declared = FORWARDS.get(node.op_name)
+    if declared is None:
         raise PlanUnsupportedError(
             f"op {node.op_name!r} has no replay kernel; the plan engine "
             f"cannot lower this forward"
         )
-    return _declared(forward), "out"
+    return _declared(*declared), "out"
 
 
 def _frozen(value):

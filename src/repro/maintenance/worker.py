@@ -716,6 +716,7 @@ class MaintenanceWorker:
                 "error": None,
                 "abandoned": False,
                 "phase": 0,
+                "phase_scores": {},
             }
             thread = threading.Thread(
                 target=self._refit_attempt,
@@ -742,11 +743,16 @@ class MaintenanceWorker:
                 holder["abandoned"] = True
                 return None
             if finished and holder["error"] is None:
+                # A scored full refit also logs every phase's shadow score.
+                extra = (
+                    {"phase_scores": holder["phase_scores"]}
+                    if holder["phase_scores"] else {}
+                )
                 self._event(
                     "maintenance_refit",
                     attempt=attempt, mode=mode, status="ok",
                     retry=retry, elapsed_s=round(elapsed, 4),
-                    phase=holder["phase"],
+                    phase=holder["phase"], **extra,
                 )
                 self._counter("maintenance_refit_total", {"status": "ok"})
                 return holder["result"], holder["score"]
@@ -841,6 +847,7 @@ class MaintenanceWorker:
                         holder["phase"] = offset
                         break
                     score = scorer.score(fitted, inputs, targets)
+                    holder["phase_scores"][offset] = score
                     if score < best:
                         candidate, best = fitted, score
                         holder["phase"] = offset

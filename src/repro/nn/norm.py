@@ -9,13 +9,86 @@ on the forecast before computing the loss.
 
 from __future__ import annotations
 
-from repro.autograd import Tensor, mean, sqrt, var
+import numpy as np
+
+from repro.autograd import Tensor, as_tensor, mean, sqrt, var
+from repro.autograd.select_ops import declare, temporary
+from repro.autograd.tensor import unbroadcast
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
 
+def _layer_norm(x, weight, bias, axes, eps, out=None, work=None):
+    """``(x - mean) / sqrt(var + eps) * weight + bias`` over ``axes``, the
+    trailing axes ``weight`` and ``bias`` span.
+
+    Runs the ufuncs of the composite ``mean``/``var``/``sqrt`` graph in
+    its order, building the result in ``out``.  ``np.mean`` is a sum and
+    a division by the count; it divides float32 sums in float64, which
+    rounds to the same float32 quotient.  Saves the per-row mean and
+    standard deviation for the backward.
+    """
+    rows = x.shape[: x.ndim - weight.ndim] + (1,) * weight.ndim
+    mu = np.add.reduce(x, axes, None, temporary(work, "ln_mean", rows, x.dtype), True)
+    np.true_divide(mu, weight.size, out=mu)
+    centered = np.subtract(x, mu, out=out)
+    square = np.multiply(
+        centered, centered, out=temporary(work, "ln_square", x.shape, x.dtype)
+    )
+    std = np.add.reduce(square, axes, None, temporary(work, "ln_std", rows, x.dtype), True)
+    np.multiply(std, 1.0 / weight.size, out=std)
+    np.add(std, eps, out=std)
+    np.sqrt(std, out=std)
+    np.true_divide(centered, std, out=centered)
+    np.multiply(centered, weight, out=centered)
+    np.add(centered, bias, out=centered)
+    return centered, (mu, std)
+
+
+def _layer_norm_backward(grad, saved, x, weight, bias, axes, eps, needs):
+    """The gradients the composite graph gives ``x``, ``weight`` and
+    ``bias``, with its ufuncs in its order; ``x - mean`` is recomputed.
+
+    ``x`` receives the composite's four contributions, in the order its
+    walk adds them: through ``x - mean`` of the output, through that
+    mean, through ``x - mean`` inside the variance, through that mean.
+    """
+    mu, std = saved
+    centered = x - mu
+    grad_x = grad_weight = grad_bias = None
+    if needs[1]:
+        grad_weight = unbroadcast(grad * (centered / std), weight.shape)
+    if needs[2]:
+        grad_bias = unbroadcast(grad, bias.shape)
+    if needs[0]:
+        count = x.size // mu.size
+        grad_normalized = grad * weight
+        through_output = grad_normalized / std
+        grad_std = np.negative(grad_normalized)
+        np.multiply(grad_std, centered, out=grad_std)
+        np.true_divide(grad_std, std**2, out=grad_std)
+        grad_std = unbroadcast(grad_std, std.shape)
+        grad_total = grad_std / (2.0 * std) * (1.0 / count)
+        through_variance = np.broadcast_to(grad_total, x.shape) * centered
+        np.add(through_variance, through_variance, out=through_variance)
+        grad_x = (
+            through_output,
+            np.broadcast_to(unbroadcast(-through_output, mu.shape), x.shape) / count,
+            through_variance,
+            np.broadcast_to(unbroadcast(-through_variance, mu.shape), x.shape) / count,
+        )
+    return grad_x, grad_weight, grad_bias
+
+
+layer_norm = declare("layer_norm", _layer_norm, _layer_norm_backward)
+
+
 class LayerNorm(Module):
-    """Normalize over the trailing ``normalized_shape`` axes with affine."""
+    """Normalize over the trailing ``normalized_shape`` axes with affine.
+
+    One declared op (:func:`layer_norm`): the training graph keeps the
+    input, the output and the per-row mean and standard deviation.
+    """
 
     def __init__(self, normalized_shape: int | tuple[int, ...], eps: float = 1e-5):
         super().__init__()
@@ -27,11 +100,9 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros(self.normalized_shape))
 
     def forward(self, x: Tensor) -> Tensor:
+        x = as_tensor(x)
         axes = tuple(range(x.ndim - len(self.normalized_shape), x.ndim))
-        mu = mean(x, axis=axes, keepdims=True)
-        sigma2 = var(x, axis=axes, keepdims=True)
-        normalized = (x - mu) / sqrt(sigma2 + self.eps)
-        return normalized * self.weight + self.bias
+        return layer_norm(x, self.weight, self.bias, axes=axes, eps=self.eps)
 
     def _extra_repr(self) -> str:
         return f"({self.normalized_shape})"

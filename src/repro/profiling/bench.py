@@ -344,13 +344,20 @@ def _build_step_fixture(dims: dict, dtype) -> tuple:
     return model, optimizer, x, y
 
 
-def _one_step(model, optimizer, x, y, legacy: bool = False) -> None:
-    """One full training step: forward, MSE, backward, clip, update."""
+def _one_step(model, optimizer, x, y, legacy: bool = False) -> tuple:
+    """One full training step as ``Trainer._epoch`` runs it: forward,
+    MSE, backward, clip, update, then drop the gradients.
+
+    Returns ``(pred, loss)``.  Callers keep them bound until the next
+    step has run, as the trainer's loop keeps them until its next
+    forward: released at return, they would let malloc hand the heap
+    the consumed graph freed back to the OS, and the next forward would
+    fault it back in, a cost ``Trainer.fit`` does not pay.
+    """
     from repro.optim import clip_grad_norm
 
     pred = model(x)
     loss = ((pred - y) ** 2.0).mean()
-    optimizer.zero_grad()
     if legacy:
         with ag.legacy_accumulation():
             loss.backward()
@@ -358,6 +365,8 @@ def _one_step(model, optimizer, x, y, legacy: bool = False) -> None:
         loss.backward()
     clip_grad_norm(optimizer.parameters, 5.0)
     optimizer.step()
+    optimizer.zero_grad()
+    return pred, loss
 
 
 def bench_training_step(quick: bool = False) -> dict:
@@ -371,27 +380,29 @@ def bench_training_step(quick: bool = False) -> dict:
     for dtype in (np.float64, np.float32):
         model, optimizer, x, y = _build_step_fixture(dims, dtype)
         for _ in range(dims["warmup"]):
-            _one_step(model, optimizer, x, y)
+            held = _one_step(model, optimizer, x, y)
         started = time.perf_counter()
         for _ in range(dims["rounds"]):
-            _one_step(model, optimizer, x, y)
+            held = _one_step(model, optimizer, x, y)
         timings[np.dtype(dtype).name] = (
             (time.perf_counter() - started) / dims["rounds"] * 1e3
         )
+        del held
 
     # Allocation counts (float64, steady state: scratch pools are warm).
     model, optimizer, x, y = _build_step_fixture(dims, np.float64)
-    _one_step(model, optimizer, x, y)
+    held = _one_step(model, optimizer, x, y)
     with track_allocations() as allocs:
-        _one_step(model, optimizer, x, y)
+        held = _one_step(model, optimizer, x, y)
     inplace_allocs, inplace_bytes = allocs.count, allocs.bytes
 
     model, optimizer, x, y = _build_step_fixture(dims, np.float64)
     optimizer = AdamW(model.parameters(), lr=1e-3, in_place=False)
-    _one_step(model, optimizer, x, y, legacy=True)
+    held = _one_step(model, optimizer, x, y, legacy=True)
     with track_allocations() as allocs:
-        _one_step(model, optimizer, x, y, legacy=True)
+        held = _one_step(model, optimizer, x, y, legacy=True)
     legacy_allocs, legacy_bytes = allocs.count, allocs.bytes
+    del held
 
     graph_mb, peak_mb = _traced_step_memory(_STEP_MEMORY)
     return {
@@ -450,20 +461,22 @@ def _traced_step_memory(dims: dict) -> tuple[float, float]:
     return graph / 2**20, peak / 2**20
 
 
-def _one_step_guarded(model, optimizer, x, y, instruments) -> None:
+def _one_step_guarded(model, optimizer, x, y, instruments) -> tuple:
     """The training step exactly as the trainer's hot loop now shapes it:
-    one ``is not None`` guard (plus two clock reads when enabled)."""
+    one ``is not None`` guard (plus two clock reads when enabled).
+    Returns ``(pred, loss)`` for the caller to hold, as :func:`_one_step`."""
     from repro.optim import clip_grad_norm
 
     step_started = time.perf_counter() if instruments is not None else 0.0
     pred = model(x)
     loss = ((pred - y) ** 2.0).mean()
-    optimizer.zero_grad()
     loss.backward()
     clip_grad_norm(optimizer.parameters, 5.0)
     optimizer.step()
+    optimizer.zero_grad()
     if instruments is not None:
         instruments.record_step(loss.item(), time.perf_counter() - step_started)
+    return pred, loss
 
 
 def bench_telemetry(quick: bool = False) -> dict:
@@ -502,23 +515,26 @@ def bench_telemetry(quick: bool = False) -> dict:
     fixtures = {
         name: _build_step_fixture(step_dims, np.float64) for name in variants
     }
+    # Each variant's last (pred, loss), held until its next step has run.
+    held = {}
     for name, (step, instruments) in variants.items():
         model, optimizer, x, y = fixtures[name]
         for _ in range(dims["warmup"]):
             if step is _one_step:
-                step(model, optimizer, x, y)
+                held[name] = step(model, optimizer, x, y)
             else:
-                step(model, optimizer, x, y, instruments)
+                held[name] = step(model, optimizer, x, y, instruments)
     times = {name: [] for name in variants}
     for _ in range(dims["rounds"]):
         for name, (step, instruments) in variants.items():
             model, optimizer, x, y = fixtures[name]
             started = time.thread_time()
             if step is _one_step:
-                step(model, optimizer, x, y)
+                held[name] = step(model, optimizer, x, y)
             else:
-                step(model, optimizer, x, y, instruments)
+                held[name] = step(model, optimizer, x, y, instruments)
             times[name].append(time.thread_time() - started)
+    del held
     medians = {name: float(np.median(times[name])) * 1e3 for name in variants}
     per_round = {
         name: 100.0 * (np.array(times[name]) / np.array(times["baseline"]) - 1.0)

@@ -5,6 +5,7 @@ tensor operation reports its name, output shape, and parent shapes, from
 which FLOPs are derived:
 
 - ``matmul``: ``2 * prod(out) * inner_dim`` (multiply-accumulate pairs);
+- ``linear`` and ``layer_norm``: what their composite ops would count;
 - ``conv1d``: ``2 * prod(out) * C_in * K``;
 - ``softmax`` and friends: a small constant times the element count;
 - elementwise ops: one FLOP per output element.
@@ -82,6 +83,15 @@ def _op_flops(op_name: str, out_shape: tuple, parent_shapes: list[tuple]) -> int
         return 2 * out_elems
     if op_name == "outer":
         return out_elems
+    if op_name == "linear":
+        # the composite's matmul, plus its bias add when there is a bias
+        flops = 2 * out_elems * int(parent_shapes[0][-1] if parent_shapes[0] else 1)
+        return flops + (out_elems if len(parent_shapes) == 3 else 0)
+    if op_name == "layer_norm":
+        # the composite's two means, sum and six elementwise ops over x,
+        # and its variance scale, eps add and square root per row
+        rows = out_elems // max(int(np.prod(parent_shapes[1])), 1)
+        return 9 * out_elems + 4 * rows
     if op_name in _FREE_OPS:
         return 0
     if op_name in ("sum", "mean", "max", "min", "var"):

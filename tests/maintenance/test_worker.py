@@ -253,6 +253,30 @@ class TestPhaseSweep:
         assert score == best == result["candidate_score"]
         assert events_of(sink, "maintenance_refit")[-1]["phase"] == expected_phase
 
+    def test_refit_event_logs_every_phase_score(self, rng):
+        sink = ListSink()
+        worker = make_worker(sink=sink, mode="full")
+        model_config = worker.model.config
+        feed(worker, regime_rows(rng, 100, fast=True))
+        history, starts = worker.history.snapshot_with_starts()
+        *_, fit_rows = build_job_data(
+            history, model_config.lookback, model_config.horizon,
+            model_config.segment_length, worker.config.holdout_windows,
+        )
+        eligible = [
+            phase
+            for phase, chopped in phase_candidates(
+                fit_rows, model_config.segment_length, starts
+            )
+            if len(chopped) >= model_config.num_prototypes
+        ]
+        result = worker.run_once("manual")
+        (refit,) = events_of(sink, "maintenance_refit")
+        scores = refit["phase_scores"]
+        assert sorted(scores) == sorted(eligible)
+        assert min(scores.values()) == result["candidate_score"]
+        assert scores[refit["phase"]] == result["candidate_score"]
+
     def test_stop_after_fit_scores_no_bank(self, rng, monkeypatch):
         worker = make_worker(mode="full")
         feed(worker, regime_rows(rng, 100, fast=True))
