@@ -31,9 +31,8 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, active_capture, is_grad_enabled
 
-#: Forward of every declared op, by op name (the plan engine's kernels),
-#: and whether it is differentiable (then it returns ``(out, saved)``).
-FORWARDS: dict[str, tuple[Callable, bool]] = {}
+#: Forward of every declared op, by op name (the plan engine's kernels).
+FORWARDS: dict[str, Callable] = {}
 
 
 def declare(
@@ -45,10 +44,11 @@ def declare(
     tensors' arrays and, under a graph capture, records the call with
     ``params`` as its replay arguments.
 
-    Without ``backward`` the op is non-differentiable and ``forward``
-    returns its output.  With one, ``forward`` returns ``(out, saved)``,
-    where ``saved`` is whatever the backward needs besides the inputs
-    (per-row statistics, say; a plan discards it), and the op records a
+    ``forward`` returns its output.  Without ``backward`` the op is
+    non-differentiable.  With one, ``forward`` called without ``work``
+    (eager) returns ``(out, saved)`` instead, where ``saved`` is whatever
+    the backward needs besides the inputs (per-row statistics, say); a
+    plan, which passes ``work``, gets ``out`` alone.  The op records a
     graph node whose inputs receive gradients from one call of
     ``backward(grad, saved, *arrays, needs=..., **params)``.  ``needs``
     holds one flag per input, true where that input requires a gradient;
@@ -58,7 +58,7 @@ def declare(
     another, in order (as the separate paths of a composite into one
     input would arrive).
     """
-    FORWARDS[name] = (forward, backward is not None)
+    FORWARDS[name] = forward
     if backward is None:
 
         def op(*tensors: Tensor, **params) -> Tensor:

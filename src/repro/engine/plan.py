@@ -6,7 +6,8 @@ construction, even under ``no_grad``.  An :class:`ExecutionPlan` strips
 all of it away once: a captured forward (see
 :mod:`repro.autograd.capture`) is lowered to a flat, topologically
 ordered list of ``(kernel, source slots, output slot)`` steps that
-replay as plain numpy calls into a preallocated per-thread arena.
+replay as plain numpy calls into a preallocated per-thread arena; each
+arena runs its steps as one generated straight-line function.
 
 The lowering makes three guarantees:
 
@@ -82,7 +83,8 @@ class PlanUnsupportedError(PlanError):
 # ----------------------------------------------------------------------
 # Kernel registry
 #
-# Kinds:
+# A kernel is a ufunc, run as ``ufunc(*srcs, out)``, or a function
+# ``kernel(srcs, out, scratch, extras)``.  Kinds:
 #   "ew"    elementwise; honors ``out=`` and may alias a dying source
 #           buffer (in-place chain fusion) without changing results.
 #   "out"   honors ``out=`` but must not alias any source (matmul,
@@ -96,7 +98,8 @@ class PlanUnsupportedError(PlanError):
 # from an explicit ufunc call (ndarray.__pow__, fancy indexing), the
 # kernel evaluates the eager expression verbatim instead of using out=.
 # The declared ops of repro.autograd.select_ops need no kernel here:
-# their one forward runs as an "out" kernel (see _declared).
+# their one forward runs as an "out" kernel, called as
+# ``forward(*srcs, out=out, work=scratch, **extras)``.
 # ----------------------------------------------------------------------
 _KERNELS: dict[str, tuple[Callable, str]] = {}
 
@@ -109,36 +112,28 @@ def _register(name: str, kind: str):
     return deco
 
 
-def _unary(name: str, ufunc, kind: str = "ew"):
-    def kernel(srcs, out, scratch, extras):
-        return ufunc(srcs[0], out=out)
-
-    _KERNELS[name] = (kernel, kind)
-
-
-def _binary(name: str, ufunc, kind: str = "ew"):
-    def kernel(srcs, out, scratch, extras):
-        return ufunc(srcs[0], srcs[1], out=out)
-
-    _KERNELS[name] = (kernel, kind)
-
-
-_binary("add", np.add)
-_binary("sub", np.subtract)
-_binary("mul", np.multiply)
-_binary("div", np.true_divide)
-_binary("maximum", np.maximum)
-_binary("minimum", np.minimum)
-_unary("neg", np.negative)
-_unary("exp", np.exp)
-_unary("log", np.log)
-_unary("sqrt", np.sqrt)
-_unary("abs", np.absolute)
-_unary("sin", np.sin)
-_unary("cos", np.cos)
-_unary("tanh", np.tanh)
-_unary("sigmoid", _special.expit)
-_unary("erf", _special.erf)
+_KERNELS.update(
+    (name, (ufunc, "ew"))
+    for name, ufunc in {
+        "add": np.add,
+        "sub": np.subtract,
+        "mul": np.multiply,
+        "div": np.true_divide,
+        "maximum": np.maximum,
+        "minimum": np.minimum,
+        "neg": np.negative,
+        "exp": np.exp,
+        "log": np.log,
+        "sqrt": np.sqrt,
+        "abs": np.absolute,
+        "sin": np.sin,
+        "cos": np.cos,
+        "tanh": np.tanh,
+        "sigmoid": _special.expit,
+        "erf": _special.erf,
+    }.items()
+)
+_KERNELS["matmul"] = (np.matmul, "out")
 
 
 @_register("softplus", "ew")
@@ -162,23 +157,6 @@ class _Scratch(dict):
     def __missing__(self, key):
         buf = self[key] = scratch_buffer(*key, lane=self.lane)
         return buf
-
-
-def _declared(forward: Callable, differentiable: bool) -> Callable:
-    """Kernel of a declared op: its forward, writing into the arena
-    buffer, with its temporaries from the step's scratch.  What a
-    differentiable forward saves for its backward is dropped."""
-    if differentiable:
-
-        def kernel(srcs, out, scratch, extras):
-            return forward(*srcs, out=out, work=scratch, **extras)[0]
-
-    else:
-
-        def kernel(srcs, out, scratch, extras):
-            return forward(*srcs, out=out, work=scratch, **extras)
-
-    return kernel
 
 
 @_register("gelu", "ew")
@@ -244,11 +222,6 @@ def _k_pow(srcs, out, scratch, extras):
 @_register("clip", "fresh")
 def _k_clip(srcs, out, scratch, extras):
     return np.clip(srcs[0], extras[0], extras[1])
-
-
-@_register("matmul", "out")
-def _k_matmul(srcs, out, scratch, extras):
-    return np.matmul(srcs[0], srcs[1], out=out)
 
 
 @_register("outer", "fresh")
@@ -461,28 +434,24 @@ class ExecutionPlan:
         self._tls = threading.local()
 
     # -- replay ---------------------------------------------------------
-    def _new_arena(self, lane: int):
-        """Per-thread, per-lane state: value slots plus fully-resolved
-        step tuples.
+    def _new_arena(self, lane: int) -> Callable:
+        """Per-thread, per-lane state: the plan's steps as one replay
+        function over this lane's buffers (see :func:`_emit_replay`).
 
-        Buffers and scratch dicts are bound into the step tuples once,
-        so the replay loop does no per-step buffer indexing.  A source
-        is *stable* when it is the same ndarray object on every replay
-        (an arena buffer, a baked constant or a live leaf; ``ew``/``out``
-        kernels always return their ``out`` buffer).  View steps over a
-        stable source are executed once here and dropped from the replay
-        loop entirely: a view of a fixed array is itself a fixed array,
+        A source is *stable* when it is the same ndarray object on every
+        replay (an arena buffer, a baked constant or a live leaf; ``ew``/
+        ``out`` kernels always return their ``out`` buffer).  View steps
+        over a stable source are executed once here and dropped from the
+        replay entirely: a view of a fixed array is itself a fixed array,
         only its contents change.  A reshape that silently copies is
         detected (``shares_memory``) and kept as a live step so stale
-        contents are never frozen.  A step whose sources are all stable
-        gets its argument list built once, here, instead of per replay.
+        contents are never frozen.
         """
-        values = list(self._template)
         buffers = _pooled_buffers(self._buffer_specs, lane)
         input_slots = set(self._input_slots)
         stable = {
             slot: value
-            for slot, value in enumerate(values)
+            for slot, value in enumerate(self._template)
             if value is not None and slot not in input_slots
         }
         steps = []
@@ -491,20 +460,13 @@ class ExecutionPlan:
                 source = stable[srcs[0]]
                 view = kernel((source,), None, {}, extras)
                 if np.shares_memory(view, source):
-                    values[out_slot] = view
                     stable[out_slot] = view
                     continue
             out_buf = None if buf is None else buffers[buf]
-            args = [stable[j] for j in srcs] if all(j in stable for j in srcs) else None
-            steps.append((kernel, args, srcs, out_slot, out_buf, _Scratch(lane), extras))
+            steps.append((kernel, srcs, out_slot, out_buf, extras, _Scratch(lane)))
             if out_buf is not None:
                 stable[out_slot] = out_buf
-        # Slots a replay fills with arrays of its own (the inputs, fresh
-        # results and views of them), cleared after each replay so they
-        # do not hold memory until the next one.
-        transient = self._input_slots + [step[3] for step in steps if step[4] is None]
-        transient = tuple(slot for slot in transient if slot != self._output_slot)
-        return (values, tuple(steps), transient)
+        return _emit_replay(steps, stable, self._input_slots, self._output_slot)
 
     def check(self, arrays: Sequence[np.ndarray], expected: np.ndarray) -> None:
         """Replay ``arrays`` and require ``expected`` bit-for-bit (NaN-aware)."""
@@ -557,30 +519,64 @@ class ExecutionPlan:
                 )
         if arena is None:
             arena = self.arena()
-        values, steps, transient = arena
-        for slot, array in zip(self._input_slots, arrays):
-            values[slot] = array
-        for kernel, args, srcs, out_slot, out_buf, scratch, extras in steps:
-            values[out_slot] = kernel(
-                args or [values[j] for j in srcs], out_buf, scratch, extras
-            )
-        result = values[self._output_slot]
-        for slot in transient:
-            values[slot] = None
-        return result
+        return arena(*arrays)
+
+
+def _emit_replay(
+    steps: list[tuple], stable: dict, input_slots: list[int], output_slot: int
+) -> Callable:
+    """``steps`` as one straight-line Python function of the inputs.
+
+    Each step becomes one call, so a replay runs no loop and unpacks no
+    step tuples: a stable slot is read from the function's globals
+    (``c<slot>``), every other slot is a local (``v<slot>``).  A ufunc
+    step runs ``ufunc(*srcs, out)``, a declared op
+    ``forward(*srcs, out=out, work=scratch, **extras)``, any other
+    kernel ``kernel(srcs, out, scratch, extras)``.  Buffers, scratch
+    dicts, extras and kernels are bound into the globals by name; no
+    value is written into the source.
+    """
+    declared = set(FORWARDS.values())
+    scope: dict = {}
+
+    def operand(slot: int) -> str:
+        if slot in stable:
+            scope[f"c{slot}"] = stable[slot]
+            return f"c{slot}"
+        return f"v{slot}"
+
+    lines = [f"def replay({', '.join(f'v{slot}' for slot in input_slots)}):"]
+    for i, (kernel, srcs, out_slot, out_buf, extras, scratch) in enumerate(steps):
+        args = ", ".join(operand(slot) for slot in srcs)
+        scope[f"k{i}"] = kernel
+        scope[f"o{i}"] = out_buf
+        if isinstance(kernel, np.ufunc):
+            call = f"k{i}({args}, o{i})"
+        else:
+            scope[f"w{i}"] = scratch
+            scope[f"e{i}"] = extras
+            if kernel in declared:
+                params = f", **e{i}" if extras else ""
+                call = f"k{i}({args}, out=o{i}, work=w{i}{params})"
+            else:
+                call = f"k{i}(({args}{',' if srcs else ''}), o{i}, w{i}, e{i})"
+        lines.append(f"    v{out_slot} = {call}")
+    lines.append(f"    return {operand(output_slot)}")
+    exec(compile("\n".join(lines), "<execution plan>", "exec"), scope)
+    return scope["replay"]
 
 
 def _node_kind(node: CapturedNode) -> tuple[Callable, str]:
     entry = _KERNELS.get(node.op_name)
     if entry is not None:
         return entry
-    declared = FORWARDS.get(node.op_name)
-    if declared is None:
+    forward = FORWARDS.get(node.op_name)
+    if forward is None:
         raise PlanUnsupportedError(
             f"op {node.op_name!r} has no replay kernel; the plan engine "
             f"cannot lower this forward"
         )
-    return _declared(*declared), "out"
+    return forward, "out"
 
 
 def _frozen(value):

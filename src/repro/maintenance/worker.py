@@ -743,16 +743,13 @@ class MaintenanceWorker:
                 holder["abandoned"] = True
                 return None
             if finished and holder["error"] is None:
-                # A scored full refit also logs every phase's shadow score.
-                extra = (
-                    {"phase_scores": holder["phase_scores"]}
-                    if holder["phase_scores"] else {}
-                )
+                # phase_scores: every phase's shadow score ({} unless a
+                # scored full refit).
                 self._event(
                     "maintenance_refit",
                     attempt=attempt, mode=mode, status="ok",
                     retry=retry, elapsed_s=round(elapsed, 4),
-                    phase=holder["phase"], **extra,
+                    phase=holder["phase"], phase_scores=holder["phase_scores"],
                 )
                 self._counter("maintenance_refit_total", {"status": "ok"})
                 return holder["result"], holder["score"]

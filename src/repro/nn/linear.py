@@ -15,10 +15,10 @@ from repro.nn.module import Module, Parameter
 def _linear(x, weight, bias=None, out=None, work=None):
     """``x @ weight.T + bias``: the matmul into ``out``, the bias added
     in place.  Saves nothing: the backward reads only the inputs."""
-    out = np.matmul(x, weight.T, out=out)
+    out = np.matmul(x, weight.T, out)
     if bias is not None:
-        np.add(out, bias, out=out)
-    return out, None
+        np.add(out, bias, out)
+    return out if work is not None else (out, None)
 
 
 def _linear_backward(grad, saved, x, weight, bias=None, *, needs):

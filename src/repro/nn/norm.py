@@ -26,23 +26,23 @@ def _layer_norm(x, weight, bias, axes, eps, out=None, work=None):
     its order, building the result in ``out``.  ``np.mean`` is a sum and
     a division by the count; it divides float32 sums in float64, which
     rounds to the same float32 quotient.  Saves the per-row mean and
-    standard deviation for the backward.
+    standard deviation for the backward (see :func:`declare`).
     """
     rows = x.shape[: x.ndim - weight.ndim] + (1,) * weight.ndim
     mu = np.add.reduce(x, axes, None, temporary(work, "ln_mean", rows, x.dtype), True)
-    np.true_divide(mu, weight.size, out=mu)
-    centered = np.subtract(x, mu, out=out)
+    np.true_divide(mu, weight.size, mu)
+    centered = np.subtract(x, mu, out)
     square = np.multiply(
-        centered, centered, out=temporary(work, "ln_square", x.shape, x.dtype)
+        centered, centered, temporary(work, "ln_square", x.shape, x.dtype)
     )
     std = np.add.reduce(square, axes, None, temporary(work, "ln_std", rows, x.dtype), True)
-    np.multiply(std, 1.0 / weight.size, out=std)
-    np.add(std, eps, out=std)
-    np.sqrt(std, out=std)
-    np.true_divide(centered, std, out=centered)
-    np.multiply(centered, weight, out=centered)
-    np.add(centered, bias, out=centered)
-    return centered, (mu, std)
+    np.multiply(std, 1.0 / weight.size, std)
+    np.add(std, eps, std)
+    np.sqrt(std, std)
+    np.true_divide(centered, std, centered)
+    np.multiply(centered, weight, centered)
+    np.add(centered, bias, centered)
+    return centered if work is not None else (centered, (mu, std))
 
 
 def _layer_norm_backward(grad, saved, x, weight, bias, axes, eps, needs):
