@@ -483,12 +483,7 @@ def _cmd_serve(args) -> int:
         )
 
     if args.shards > 0:
-        from repro.serving import (
-            FleetConfig,
-            ShardRouter,
-            replay_fleet,
-            replay_routed,
-        )
+        from repro.serving import FleetConfig, ShardRouter, replay_fleet
 
         with ShardRouter(
             model,
@@ -504,19 +499,19 @@ def _cmd_serve(args) -> int:
             run_logger=logger,
         ) as router:
             if maintenance is not None:
-                # Row-by-row routed replay: the maintenance tap only
+                # Step-by-step routed replay: the maintenance tap only
                 # sees traffic that crosses the router.
                 router.attach_maintenance(maintenance)
                 with maintenance:
-                    responses = replay_routed(
+                    responses = replay_streams(
                         router, streams, forecast_every=args.forecast_every
                     )
                     maintenance.join_idle()
             elif args.trace:
                 # Tracing needs each request to cross the router (where
                 # contexts are minted), so the whole-stream fast path is
-                # out — replay row by row instead.
-                responses = replay_routed(
+                # out — replay step by step through the router instead.
+                responses = replay_streams(
                     router, streams, forecast_every=args.forecast_every
                 )
             else:

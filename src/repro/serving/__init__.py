@@ -13,7 +13,9 @@ Layered bottom-up:
   background batching worker, admission control, health + telemetry;
 - :class:`ShardRouter` / :class:`FleetConfig` — multi-process scale-out:
   consistent-hash routing, a shared-memory prototype bank with epoch
-  fencing, scatter-gather replay, and crashed-worker rehash.
+  fencing, scatter-gather replay, and crashed-worker rehash;
+- :func:`replay_streams` — the one replay step loop, over a server, a
+  router, or (inside :func:`replay_fleet`) each shard's server.
 
 See ``docs/api.md`` (architecture) and ``examples/serving_replay.py``.
 """
@@ -29,7 +31,6 @@ from repro.serving.fleet import (
     StaleEpochError,
     WorkerCrashedError,
     replay_fleet,
-    replay_routed,
 )
 from repro.serving.server import ForecastServer, ServingConfig, replay_streams
 from repro.serving.session import EntitySession, EntitySessionStore, SessionStats
@@ -52,6 +53,5 @@ __all__ = [
     "StaleEpochError",
     "WorkerCrashedError",
     "replay_fleet",
-    "replay_routed",
     "replay_streams",
 ]

@@ -23,13 +23,12 @@ one single-process :class:`~repro.serving.ForecastServer` into a fleet:
   seqlock odd before touching data, even after), so readers never see a
   torn bank;
 - :func:`replay_fleet` scatter-gathers multi-entity replay traffic:
-  streams are partitioned by the hash ring, each shard replays its
-  partition locally (interleaved in time order, micro-batched per step,
-  identical semantics to :func:`~repro.serving.replay_streams`), and the
-  responses are merged back in global issue order.  Because every
-  per-row computation is batch-independent, the merged responses are
-  per-row bit-identical (float64) to a single-process replay of the
-  same streams — the invariant ``tests/serving/test_fleet.py`` pins;
+  streams are partitioned by the hash ring, each shard runs
+  :func:`~repro.serving.replay_streams` on its partition, and the
+  responses are merged back in global issue order.  Every per-row
+  computation is batch-independent, so the merged responses are
+  bit-identical (float64) to a single-process replay of the same
+  streams — the invariant ``tests/serving/test_fleet.py`` pins;
 - **fleet-level admission control**: the router bounds in-flight
   requests per shard; excess traffic is answered immediately from the
   router's last-row cache (persistence fallback,
@@ -63,7 +62,7 @@ from repro.core.model import FOCUSForecaster
 from repro.engine.lanes import use_single_lane
 from repro.robustness.health import NAN_POLICIES, HealthMonitor
 from repro.serving.batcher import ForecastResponse
-from repro.serving.server import ForecastServer, ServingConfig, step_blocks
+from repro.serving.server import ForecastServer, ServingConfig, replay_streams
 from repro.telemetry.aggregate import FleetAggregator, registry_snapshot
 from repro.telemetry.context import (
     RequestTrace,
@@ -329,45 +328,6 @@ class PrototypeBank:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _local_replay(server: ForecastServer, streams: dict[str, np.ndarray],
-                  order: dict[str, int], forecast_every: int,
-                  warmup: int | None) -> tuple[list, list]:
-    """One shard's half of the scatter-gather replay.
-
-    Mirrors :func:`~repro.serving.replay_streams` exactly — interleaved
-    ingestion in time order, micro-batched forecasts for the due
-    entities of each step — but tags every response with
-    ``(step, global stream index)`` so the router can merge shard
-    results back into global issue order, and records the wall clock of
-    each executed batch for the latency percentiles in ``repro bench``.
-    """
-    if not streams:
-        return [], []
-    lookback = server.model.config.lookback
-    warmup = lookback if warmup is None else warmup
-    entity_ids = list(streams)
-    tagged: list[tuple[int, int, ForecastResponse]] = []
-    latencies: list[float] = []
-    for step, rows in enumerate(step_blocks(streams)):
-        server.observe_rows(entity_ids, rows)
-        due: list[str] = []
-        if step + 1 >= warmup and (step + 1) % forecast_every == 0:
-            due = [
-                entity_id
-                for entity_id in entity_ids
-                if server.store.session(entity_id).ready
-            ]
-        if not due:
-            continue
-        started = time.perf_counter()
-        responses = server.forecast_many(due)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        for entity_id, response in zip(due, responses):
-            tagged.append((step, order[entity_id], response))
-            latencies.append(elapsed_ms / len(due))
-    return tagged, latencies
-
-
 class _ShardWorker:
     """Worker-side state: model replica + full local serving stack."""
 
@@ -392,6 +352,19 @@ class _ShardWorker:
         )
         # The epoch of the bank currently loaded into the local model.
         self.bank_epoch = spec["epoch"]
+        # Router commands; traffic goes straight to the server's methods.
+        self.commands = {
+            "observe_rows": self.server.observe_rows,
+            "observe_many": self.server.observe_many,
+            "ready": self.server.ready,
+            "forecast_many": self.forecast_many,
+            "replay": self.replay,
+            "metrics": self.metrics,
+            "stats": self.stats,
+            "ring_state": self.ring_state,
+            "journal": self.journal,
+            "ping": lambda: "pong",
+        }
 
     def sync_bank(self, advertised: int) -> None:
         """Fence: load the shared bank if ours is older than advertised.
@@ -416,75 +389,86 @@ class _ShardWorker:
 
     # -- command handlers ------------------------------------------------
     def handle(self, command: str, payload):
-        if command == "observe":
-            entity_id, row = payload
-            return self.server.observe(entity_id, row)
-        if command == "observe_many":
-            entity_id, block = payload
-            return self.server.observe_many(entity_id, block)
-        if command == "forecast_many":
-            entity_ids, advertised, contexts_wire = payload
-            arrived = time.time()
-            self.sync_bank(advertised)
-            if contexts_wire is None:
-                return self.server.forecast_many(entity_ids)
-            from repro.telemetry.context import RequestContext
+        """Run one router command; ``payload`` is its argument tuple
+        (``None`` for none)."""
+        if command not in self.commands:
+            raise FleetError(f"unknown fleet command {command!r}")
+        return self.commands[command](*(payload or ()))
 
-            contexts = {
-                entity: RequestContext.from_wire(data)
-                for entity, data in contexts_wire.items()
-            }
-            spans: list = []
-            # Queue wait: router dispatch stamp -> this handler (pipe
-            # transfer + unpickling + time queued behind other commands).
-            dispatch = min(
-                (context.dispatch_ts for context in contexts.values()), default=0.0
+    def forecast_many(self, entity_ids, advertised: int, contexts_wire):
+        """Fenced :meth:`ForecastServer.forecast_many`; with contexts,
+        also returns the shard's stage spans for the router's trace."""
+        arrived = time.time()
+        self.sync_bank(advertised)
+        if contexts_wire is None:
+            return self.server.forecast_many(entity_ids)
+        from repro.telemetry.context import RequestContext
+
+        contexts = {
+            entity: RequestContext.from_wire(data)
+            for entity, data in contexts_wire.items()
+        }
+        spans: list = []
+        # Queue wait: router dispatch stamp -> this handler (pipe
+        # transfer + unpickling + time queued behind other commands).
+        dispatch = min(
+            (context.dispatch_ts for context in contexts.values()), default=0.0
+        )
+        if dispatch:
+            record_stage(
+                spans, "queue_wait", arrived - dispatch,
+                started=dispatch, process=self.process_name,
             )
-            if dispatch:
-                record_stage(
-                    spans, "queue_wait", arrived - dispatch,
-                    started=dispatch, process=self.process_name,
-                )
-            responses = self.server.forecast_many(
-                entity_ids, contexts=contexts, trace=spans
-            )
-            return responses, [span.to_wire() for span in spans]
-        if command == "metrics":
-            return None if self.registry is None else registry_snapshot(self.registry)
-        if command == "replay":
-            streams, order, forecast_every, warmup, advertised = payload
-            self.sync_bank(advertised)
-            return _local_replay(self.server, streams, order, forecast_every, warmup)
-        if command == "stats":
-            stats = self.server.stats()
-            stats["bank_epoch"] = self.bank_epoch
-            stats["shard"] = self.shard
-            return stats
-        if command == "ring_state":
-            state = {}
-            for entity_id in self.server.store.entities():
-                session = self.server.store.session(entity_id)
-                with session.lock:
-                    ring = session.ring
-                    state[entity_id] = {
-                        "storage": ring.storage.copy(),
-                        "head": ring.head,
-                        "filled": ring.filled,
-                        "version": ring.version,
-                    }
-            return state
-        if command == "journal":
-            journals = {}
-            for entity_id in self.server.store.entities():
-                session = self.server.store.session(entity_id)
-                with session.lock:
-                    if session.journal is None:
-                        raise FleetError("journals require record_events=True")
-                    journals[entity_id] = list(session.journal)
-            return journals
-        if command == "ping":
-            return "pong"
-        raise FleetError(f"unknown fleet command {command!r}")
+        responses = self.server.forecast_many(
+            entity_ids, contexts=contexts, trace=spans
+        )
+        return responses, [span.to_wire() for span in spans]
+
+    def replay(self, streams, order, forecast_every, warmup, advertised):
+        """This shard's half of :func:`replay_fleet`: the shared step
+        loop over its partition.  Returns its responses and, per
+        response, ``(step, global stream index, ms)`` for the router's
+        merge: ``ms`` is the answering batch's wall clock per request."""
+        self.sync_bank(advertised)
+        tags: list[tuple[int, int, float]] = []
+
+        def answer(step, due):
+            started = time.perf_counter()
+            responses = self.server.forecast_many(due)
+            per_request = (time.perf_counter() - started) * 1e3 / len(due)
+            tags.extend((step, order[entity_id], per_request) for entity_id in due)
+            return responses
+
+        responses = replay_streams(
+            self.server, streams, forecast_every, warmup, answer=answer
+        )
+        return responses, tags
+
+    def metrics(self):
+        return None if self.registry is None else registry_snapshot(self.registry)
+
+    def stats(self) -> dict:
+        return {**self.server.stats(), "bank_epoch": self.bank_epoch, "shard": self.shard}
+
+    def ring_state(self) -> dict:
+        return self._read_sessions(lambda ring, journal: {
+            "storage": ring.storage.copy(), "head": ring.head,
+            "filled": ring.filled, "version": ring.version,
+        })
+
+    def journal(self) -> dict:
+        if not self.server.config.record_events:
+            raise FleetError("journals require record_events=True")
+        return self._read_sessions(lambda ring, journal: list(journal))
+
+    def _read_sessions(self, read) -> dict:
+        """``read(ring, journal)`` of every session, under its lock."""
+        store, result = self.server.store, {}
+        for entity_id in store.entities():
+            session = store.session(entity_id)
+            with session.lock:
+                result[entity_id] = read(session.ring, session.journal)
+        return result
 
 
 def _worker_main(conn, spec: dict) -> None:
@@ -846,6 +830,35 @@ class ShardRouter:
         if not self._started or self._closed:
             raise FleetError("router is not running (use `with ShardRouter(...)`)")
 
+    def _poll(self, command: str, timeout: float) -> dict:
+        """Ask every live worker at once; a shard that dies or does not
+        answer in time is left out."""
+        self._require_started()
+        calls = {
+            shard: handle.call_async(command, None)
+            for shard, handle in self._workers.items()
+            if handle.alive
+        }
+        answers = {}
+        for shard, pending in calls.items():
+            try:
+                answers[shard] = self._workers[shard].wait(pending, timeout)
+            except (FleetError, TimeoutError):  # pragma: no cover — death race
+                continue
+        return answers
+
+    def _scatter(self, command: str, payloads: dict) -> dict:
+        """Send ``command`` to every shard in ``payloads`` before
+        waiting on any; returns each shard's answer."""
+        calls = {
+            shard: self._workers[shard].call_async(command, payload)
+            for shard, payload in payloads.items()
+        }
+        return {
+            shard: self._workers[shard].wait(pending, self.config.call_timeout)
+            for shard, pending in calls.items()
+        }
+
     def ping(self) -> dict[int, bool]:
         """Probe every worker; dead or unresponsive shards map to False."""
         self._require_started()
@@ -907,16 +920,48 @@ class ShardRouter:
 
     # -- traffic -----------------------------------------------------------
     def observe(self, entity_id: str, observation: np.ndarray):
-        """Route one ``(N,)`` observation to its owning shard."""
-        observation = np.asarray(observation, dtype=np.float64)
-        result = self._handle_for(entity_id).call(
-            "observe", (entity_id, observation), self.config.call_timeout
-        )
+        """Route one ``(N,)`` observation to its owning shard (the
+        one-row :meth:`observe_rows`)."""
+        return self.observe_rows([entity_id], np.asarray(observation)[None])[0]
+
+    def observe_rows(self, entity_ids: list[str], rows: np.ndarray):
+        """Route ``rows[i]`` to ``entity_ids[i]``'s owning shard: one
+        ingest step, one RPC per owning shard (each shard's
+        :meth:`ForecastServer.observe_rows`), one maintenance tap.
+        Returns one :class:`~repro.core.streaming.IngestResult` per row."""
+        self._require_started()
+        entity_ids = list(entity_ids)
+        block = np.asarray(rows, dtype=np.float64)
+        expected = (len(entity_ids), self.model.config.num_entities)
+        if block.shape != expected:
+            raise ValueError(f"expected {expected} observations, got {block.shape}")
+        alive = self.alive_shards()
+        groups: dict[int, list[int]] = {}
+        for index, entity_id in enumerate(entity_ids):
+            groups.setdefault(self.ring.shard_for(entity_id, alive), []).append(index)
+        answers = self._scatter("observe_rows", {
+            shard: ([entity_ids[i] for i in indices], block[indices])
+            for shard, indices in groups.items()
+        })
+        results = [None] * len(entity_ids)
+        for shard, indices in groups.items():
+            for index, result in zip(indices, answers[shard]):
+                results[index] = result
         with self._last_row_lock:
-            self._last_row[entity_id] = observation.copy()
+            for entity_id, row in zip(entity_ids, block):
+                self._last_row[entity_id] = row.copy()
         if self._maintenance is not None:
-            self._maintenance.record_many([entity_id], observation[None])
-        return result
+            self._maintenance.record_many(entity_ids, block)
+        return results
+
+    def ready(self, entity_ids: list[str]) -> list[str]:
+        """The ids whose owning shard holds a full lookback window for
+        them, in order (one RPC per owning shard)."""
+        self._require_started()
+        groups = self.ring.partition(entity_ids, self.alive_shards())
+        answers = self._scatter("ready", {shard: (ids,) for shard, ids in groups.items()})
+        ready = {entity_id for group in answers.values() for entity_id in group}
+        return [entity_id for entity_id in entity_ids if entity_id in ready]
 
     def observe_many(self, entity_id: str, block: np.ndarray):
         """Route a ``(T, N)`` block to its owning shard."""
@@ -1108,17 +1153,7 @@ class ShardRouter:
         unresponsive shards keep their last snapshot, so a crashed
         worker's final counters stay in the merged view.
         """
-        self._require_started()
-        calls = {
-            shard: handle.call_async("metrics", None)
-            for shard, handle in self._workers.items()
-            if handle.alive
-        }
-        for shard, pending in calls.items():
-            try:
-                snapshot = self._workers[shard].wait(pending, timeout)
-            except (FleetError, TimeoutError):  # pragma: no cover — death race
-                continue
+        for shard, snapshot in self._poll("metrics", timeout).items():
             if snapshot is not None:
                 self.aggregator.ingest(shard, snapshot)
         return self.aggregator
@@ -1148,20 +1183,7 @@ class ShardRouter:
         (``serve_fleet_forecasts{shard="2"}`` etc.), so one Prometheus
         scrape of the router sees the whole fleet.
         """
-        self._require_started()
-        per_shard: dict[int, dict] = {}
-        calls = {
-            shard: handle.call_async("stats", None)
-            for shard, handle in self._workers.items()
-            if handle.alive
-        }
-        for shard, pending in calls.items():
-            try:
-                per_shard[shard] = self._workers[shard].wait(
-                    pending, self.config.call_timeout
-                )
-            except (FleetError, TimeoutError):  # pragma: no cover — race with death
-                continue
+        per_shard = self._poll("stats", self.config.call_timeout)
         totals = {
             "entities": 0, "observations": 0, "forecasts": 0,
             "model_forecasts": 0, "cache_hits": 0, "fallback_forecasts": 0,
@@ -1201,14 +1223,13 @@ def replay_fleet(
 ):
     """Scatter-gather replay of per-entity streams across the fleet.
 
-    Partitions ``streams`` by the router's hash ring, ships each shard
-    its partition in one message, replays every partition locally inside
-    its worker (interleaved in time order, micro-batched per step —
-    identical semantics to :func:`~repro.serving.replay_streams`), and
-    merges the responses back into global issue order.  Per-row float64
-    results are bit-identical to a single-process
-    ``replay_streams(server, streams)`` of the same traffic, which
-    ``tests/serving/test_fleet.py`` proves.
+    Cuts every stream to the shortest one, partitions them by the
+    router's hash ring, ships each shard its partition in one message,
+    and has each shard run :func:`~repro.serving.replay_streams` on its
+    own server; the responses are merged back into global issue order.
+    The answers (entities, ring versions, float64 bytes) are those of a
+    single-process ``replay_streams(server, streams)`` of the same
+    traffic, which ``tests/serving/test_fleet.py`` proves.
 
     With ``with_latencies=True`` returns ``(responses, latencies_ms)``
     where each latency is the wall clock of the worker batch that
@@ -1220,68 +1241,34 @@ def replay_fleet(
     router._require_started()
     if not streams:
         return ([], []) if with_latencies else []
+    # A shard must not replay steps past the global shortest stream
+    # just because its own partition's streams are longer.
+    length = min(len(stream) for stream in streams.values())
+    streams = {entity_id: stream[:length] for entity_id, stream in streams.items()}
     order = {entity_id: index for index, entity_id in enumerate(streams)}
-    groups = router.ring.partition(streams, router.alive_shards())
     epoch = router.prototype_epoch
-    calls = {}
-    for shard, entity_ids in groups.items():
-        subset = {entity_id: streams[entity_id] for entity_id in entity_ids}
-        suborder = {entity_id: order[entity_id] for entity_id in entity_ids}
-        calls[shard] = router._workers[shard].call_async(
-            "replay", (subset, suborder, forecast_every, warmup, epoch)
+    answers = router._scatter("replay", {
+        shard: (
+            {entity_id: streams[entity_id] for entity_id in entity_ids},
+            {entity_id: order[entity_id] for entity_id in entity_ids},
+            forecast_every, warmup, epoch,
         )
-    merged: list[tuple[int, int, ForecastResponse, float]] = []
-    for shard, pending in calls.items():
-        tagged, latencies = router._workers[shard].wait(
-            pending, router.config.call_timeout
-        )
-        for (step, index, response), latency in zip(tagged, latencies):
-            merged.append((step, index, response, latency))
-    merged.sort(key=lambda item: (item[0], item[1]))
-    for entity_id, stream in streams.items():
-        if len(stream):
-            with router._last_row_lock:
-                router._last_row[entity_id] = np.asarray(
-                    stream[-1], dtype=np.float64
-                ).copy()
+        for shard, entity_ids in router.ring.partition(streams, router.alive_shards()).items()
+    })
+    merged = sorted(
+        (
+            (step, index, response, latency)
+            for responses, tags in answers.values()
+            for response, (step, index, latency) in zip(responses, tags)
+        ),
+        key=lambda item: item[:2],
+    )
+    if length:
+        # The fallback's last row: the last one the shards observed.
+        with router._last_row_lock:
+            for entity_id, stream in streams.items():
+                router._last_row[entity_id] = np.array(stream[-1], dtype=np.float64)
     responses = [item[2] for item in merged]
     if with_latencies:
         return responses, [item[3] for item in merged]
-    return responses
-
-
-def replay_routed(
-    router: ShardRouter,
-    streams: dict[str, np.ndarray],
-    forecast_every: int = 8,
-    warmup: int | None = None,
-) -> list[ForecastResponse]:
-    """Row-by-row replay through the router's public traffic methods.
-
-    Unlike :func:`replay_fleet` (which ships whole streams into the
-    workers for throughput), every row goes through
-    :meth:`ShardRouter.observe` and every due forecast through
-    :meth:`ShardRouter.forecast_many` — the shape of real online
-    traffic.  This is the replay the maintenance path needs: the
-    router-side observation tap (:meth:`ShardRouter.attach_maintenance`)
-    only sees traffic that crosses the router.  Returns responses in
-    issue order.
-    """
-    if forecast_every < 1:
-        raise ValueError("forecast_every must be at least 1")
-    router._require_started()
-    if not streams:
-        return []
-    lookback = router.model.config.lookback
-    warmup = lookback if warmup is None else warmup
-    length = min(len(stream) for stream in streams.values())
-    responses: list[ForecastResponse] = []
-    for step in range(length):
-        due: list[str] = []
-        for entity_id, stream in streams.items():
-            router.observe(entity_id, stream[step])
-            if step + 1 >= warmup and (step + 1) % forecast_every == 0:
-                due.append(entity_id)
-        if due:
-            responses.extend(router.forecast_many(due))
     return responses

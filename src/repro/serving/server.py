@@ -435,6 +435,11 @@ class ForecastServer:
             )
         return responses
 
+    def ready(self, entity_ids: list[str]) -> list[str]:
+        """The ids in ``entity_ids`` whose ring holds a full lookback
+        window (the ones :meth:`submit` accepts), in order."""
+        return [entity_id for entity_id in entity_ids if self.store.session(entity_id).ready]
+
     def drain(self) -> int:
         """Synchronously serve everything queued; returns requests served."""
         served = 0
@@ -653,60 +658,66 @@ class ForecastServer:
 
 
 def replay_streams(
-    server: ForecastServer,
+    server,
     streams: dict[str, np.ndarray],
     forecast_every: int = 8,
     warmup: int | None = None,
     timeout: float = 30.0,
+    answer=None,
 ) -> list[ForecastResponse]:
-    """Replay per-entity ``(T, N)`` streams through a server.
+    """Replay per-entity ``(T, N)`` streams through a serving target.
 
-    Rows are interleaved across entities in time order (the multi-tenant
-    traffic shape), one :meth:`ForecastServer.observe_rows` call per
-    step; once an entity's ring is full, a forecast request is issued
-    every ``forecast_every`` of its steps.  ``warmup`` overrides
-    the number of rows ingested before the first forecast (defaults to
-    the model lookback); an entity whose ring is not yet full at a due
-    step (short warmup, or NaN-rejected rows) is skipped rather than
-    crashing the replay.  Uses the threaded path when the server is
-    running, the synchronous path otherwise.  Returns every response in
-    issue order.  An empty ``streams`` dict replays nothing.
+    The one step loop of the online phase, for a :class:`ForecastServer`
+    and a :class:`~repro.serving.ShardRouter` alike (each fleet shard
+    runs it on its own server).  Each step ingests every entity's row
+    with one ``server.observe_rows`` call, interleaved in time order and
+    cut to the shortest stream.  From step ``warmup`` on (default: the
+    model lookback) every ``forecast_every``-th step is due; the
+    entities whose rings hold a full window there (``server.ready``)
+    form its batch, so short warmup or NaN-rejected rows skip an entity.
 
-    Raises :class:`TimeoutError` if a threaded request is not answered
-    within ``timeout`` seconds (a stalled or wedged worker must surface
-    as an error, never as a silent ``None`` response).
+    ``answer(step, due)`` is the per-batch hook: it answers the batch,
+    records what its caller needs, and returns the responses.  By
+    default a running :class:`ForecastServer` answers through its queue
+    (a request unanswered within ``timeout`` seconds raises
+    :class:`TimeoutError`), any other target with one
+    ``server.forecast_many(due)``.  Returns every response in issue
+    order; an empty ``streams`` dict replays nothing.
     """
     if forecast_every < 1:
         raise ValueError("forecast_every must be at least 1")
     if not streams:
         return []
-    lookback = server.model.config.lookback
-    warmup = lookback if warmup is None else warmup
+    answer = _default_answer(server, timeout) if answer is None else answer
+    warmup = server.model.config.lookback if warmup is None else warmup
     entity_ids = list(streams)
     responses: list[ForecastResponse] = []
     for step, rows in enumerate(step_blocks(streams)):
         server.observe_rows(entity_ids, rows)
-        due: list[str] = []
         if step + 1 >= warmup and (step + 1) % forecast_every == 0:
-            due = [
-                entity_id
-                for entity_id in entity_ids
-                if server.store.session(entity_id).ready
-            ]
-        if not due:
-            continue
-        if server.running:
-            requests = [server.submit(entity_id) for entity_id in due]
-            for entity_id, request in zip(due, requests):
-                if not request.done.wait(timeout):
-                    raise TimeoutError(
-                        f"replay forecast for {entity_id!r} not answered "
-                        f"within {timeout}s"
-                    )
-                responses.append(request.response)
-        else:
-            responses.extend(server.forecast_many(due))
+            due = server.ready(entity_ids)
+            if due:
+                responses.extend(answer(step, due))
     return responses
+
+
+def _default_answer(server, timeout: float):
+    """A running server's queue, else one ``forecast_many`` call per
+    batch (looked up per call: a wrapper set on the instance sees it)."""
+    if not getattr(server, "running", False):  # a router has no queue
+        return lambda step, due: server.forecast_many(due)
+
+    def queued(step: int, due: list[str]) -> list[ForecastResponse]:
+        requests = [server.submit(entity_id) for entity_id in due]
+        for entity_id, request in zip(due, requests):
+            if not request.done.wait(timeout):
+                raise TimeoutError(
+                    f"replay forecast for {entity_id!r} not answered "
+                    f"within {timeout}s"
+                )
+        return [request.response for request in requests]
+
+    return queued
 
 
 def step_blocks(streams: dict[str, np.ndarray]) -> np.ndarray:

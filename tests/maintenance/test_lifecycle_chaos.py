@@ -24,7 +24,7 @@ from repro.serving import (
     ForecastServer,
     ServingConfig,
     ShardRouter,
-    replay_routed,
+    replay_streams,
 )
 from repro.telemetry import DriftConfig
 from repro.telemetry.runlog import RunLogger
@@ -264,7 +264,7 @@ class TestFleetLifecycle:
             epoch_before = router.prototype_epoch
             router.attach_maintenance(worker)
             with worker:
-                responses = replay_routed(
+                responses = replay_streams(
                     router,
                     {k: s[:split] for k, s in streams.items()},
                     forecast_every=FORECAST_EVERY,
@@ -277,7 +277,7 @@ class TestFleetLifecycle:
                     time.sleep(0.05)
                 # The rings already hold full lookback context, so the
                 # second slice forecasts from its first due step on.
-                responses += replay_routed(
+                responses += replay_streams(
                     router,
                     {k: s[split:] for k, s in streams.items()},
                     forecast_every=FORECAST_EVERY,
@@ -294,8 +294,8 @@ class TestFleetLifecycle:
         assert not [r for r in responses if r.source.startswith("rejected")]
         assert not [r for r in responses if r.source.startswith("fallback")]
 
-        # Reconstruct (step, entity) provenance: replay_routed answers
-        # every due entity per forecast step, in stream order.  The
+        # Reconstruct (step, entity) provenance: the routed replay
+        # answers every due entity per forecast step, in stream order.  The
         # first slice warms up over the lookback; the second (warmup=1)
         # is due on every FORECAST_EVERY-th global step past the split.
         forecast_steps = [

@@ -52,6 +52,15 @@ def make_streams(rng, entities, steps=64, prefix="tenant"):
     return {f"{prefix}-{i}": rng.normal(size=(steps, NUM_ENTITIES)) for i in range(entities)}
 
 
+def answers(responses, prefix=""):
+    """What a replay answered, in issue order: entity (without the
+    id prefix), ring version, source and the forecast's bytes."""
+    return [
+        (r.entity.removeprefix(prefix), r.ring_version, r.source, r.forecast.tobytes())
+        for r in responses
+    ]
+
+
 @pytest.fixture(scope="module")
 def router(model):
     """One long-lived 2-shard fleet shared by the non-destructive tests.
@@ -217,6 +226,50 @@ class TestEquivalence:
             assert fleet.forecast.dtype == np.float64
             assert np.array_equal(fleet.forecast, single.forecast)
 
+    def test_ragged_replay_answers_what_single_process_answers(self, router, model):
+        """Streams of 40, 48, ..., 80 rows: every shard stops at the
+        global shortest stream, as the single-process loop does, and the
+        fallback's last row is the last row the shards observed."""
+        rng = np.random.default_rng(19)
+        streams = {
+            f"ragged-{i}": rng.normal(size=(40 + 8 * i, NUM_ENTITIES)) for i in range(6)
+        }
+        assert {router.shard_for(e) for e in streams} == {0, 1}
+        reference = replay_streams(ForecastServer(model), streams, forecast_every=4)
+        sharded = replay_fleet(router, streams, forecast_every=4)
+        assert len(reference) == 3 * 6  # due at steps 32, 36 and 40
+        assert answers(sharded) == answers(reference)
+        for entity_id, stream in streams.items():
+            assert np.array_equal(router._last_row[entity_id], stream[39])
+
+    def test_every_replay_entry_point_applies_one_due_rule(self, router, model):
+        """One due rule for every caller of the step loop: at a due step
+        only entities whose rings hold a full window are forecast.  A
+        NaN-rejected row leaves ``*-1`` one row short at the first due
+        step, so each entry point skips it there and only there."""
+        rng = np.random.default_rng(20)
+        rows = [rng.normal(size=(LOOKBACK + 12, NUM_ENTITIES)) for _ in range(4)]
+        rows[1][5] = np.nan
+
+        def streams(prefix):
+            return {f"{prefix}-{i}": block.copy() for i, block in enumerate(rows)}
+
+        sync = replay_streams(ForecastServer(model), streams("due"), forecast_every=4)
+        threaded_server = ForecastServer(model)
+        with threaded_server:
+            threaded = replay_streams(threaded_server, streams("due"), forecast_every=4)
+        fleet = replay_fleet(router, streams("due-fleet"), forecast_every=4)
+        routed = replay_streams(router, streams("due-routed"), forecast_every=4)
+
+        expected = answers(sync, "due")
+        assert [entity for entity, *_ in expected] == (
+            ["-0", "-2", "-3"] + ["-0", "-1", "-2", "-3"] * 3
+        )
+        assert all(source == "model" for _, _, source, _ in expected)
+        assert answers(threaded, "due") == expected
+        assert answers(fleet, "due-fleet") == expected
+        assert answers(routed, "due-routed") == expected
+
     def test_replay_fleet_empty_streams(self, router):
         assert replay_fleet(router, {}) == []
         assert replay_fleet(router, {}, with_latencies=True) == ([], [])
@@ -253,6 +306,29 @@ class TestRouterTraffic:
         for _ in range(LOOKBACK):
             router.observe("traffic-1", rng.normal(size=NUM_ENTITIES))
         assert router.forecast("traffic-1").source == "model"
+
+    def test_observe_rows_is_one_rpc_per_shard_and_one_tap(self, router, monkeypatch):
+        ids = [f"rows-{i}" for i in range(6)]
+        rows = np.random.default_rng(21).normal(size=(6, NUM_ENTITIES))
+        sent, taps = [], []
+        for handle in router._workers.values():
+            def counted(command, payload, handle=handle, original=handle.call_async):
+                sent.append((handle.shard, command))
+                return original(command, payload)
+            monkeypatch.setattr(handle, "call_async", counted)
+
+        class Tap:
+            def record_many(self, entity_ids, block):
+                taps.append((list(entity_ids), block.copy()))
+
+        monkeypatch.setattr(router, "_maintenance", Tap())
+        results = router.observe_rows(ids, rows)
+        assert sorted(sent) == [(0, "observe_rows"), (1, "observe_rows")]
+        assert [result.accepted for result in results] == [1] * 6
+        assert len(taps) == 1
+        assert taps[0][0] == ids and np.array_equal(taps[0][1], rows)
+        for entity_id, row in zip(ids, rows):
+            assert np.array_equal(router._last_row[entity_id], row)
 
     def test_unready_entity_raises(self, router):
         router.observe("traffic-unready", np.zeros(NUM_ENTITIES))

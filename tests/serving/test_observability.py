@@ -18,7 +18,7 @@ from repro.serving import (
     ForecastServer,
     ServingConfig,
     ShardRouter,
-    replay_routed,
+    replay_streams,
 )
 from repro.telemetry import (
     STAGES,
@@ -176,7 +176,7 @@ class TestFleetObservability:
         with ShardRouter(
             model, config, telemetry=telemetry, run_logger=RunLogger([sink])
         ) as router:
-            responses = replay_routed(router, streams, forecast_every=8)
+            responses = replay_streams(router, streams, forecast_every=8)
             assert {router.shard_for(e) for e in streams} == {0, 1}
             merged = router.merged_registry()
             traces = router.trace_buffer.traces()
