@@ -4,9 +4,9 @@ Layered bottom-up:
 
 - :class:`EntitySession` / :class:`EntitySessionStore` — per-entity ring
   buffers, NaN-policy guards, locks, and optional replayable journals;
-- :class:`ForecastCache` — versioned LRU keyed on
-  ``(entity, ring version, horizon)`` and invalidated by prototype EMA
-  updates;
+- :class:`ForecastCache` — versioned LRU of one slot per entity
+  (its newest ``(ring version, horizon)`` forecast), invalidated by
+  prototype EMA updates;
 - :class:`MicroBatcher` — coalesces requests into one batched forward
   (bit-identical per sample to sequential streaming in float64);
 - :class:`ForecastServer` / :class:`ServingConfig` — bounded queue,

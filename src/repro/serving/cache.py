@@ -1,20 +1,19 @@
-"""Versioned LRU forecast cache.
+"""Versioned forecast cache: one slot per entity.
 
-Entries are keyed on ``(entity, ring version, horizon)`` — the ring
-version advances once per accepted observation
-(:class:`~repro.core.streaming.ObservationRing`), so a lookup performed
-with the entity's *current* version can, by construction, never return
-a forecast computed from older data.  Stale-version entries are never
-*served*; they simply age out of the LRU order.
+A slot holds ``(ring version, horizon, prototype version, forecast)``.
+The ring version advances once per accepted observation
+(:class:`~repro.core.streaming.ObservationRing`) and a lookup always
+asks for the entity's *current* version, so only an entity's newest
+forecast can ever be served.  A put replaces the entity's slot, never
+with an older ring version than the one it holds; a lookup hits only on
+an exact match of version, horizon and prototype version.  The cache
+holds ``min(entities, capacity)`` forecasts, never superseded ones.
 
-Prototype adaptation invalidates differently: an EMA nudge
+The prototype version catches adaptation: an EMA nudge
 (:meth:`~repro.core.model.FOCUSForecaster.update_prototype`) changes the
-forecast for an *unchanged* window, so every entry also records the
-model's ``prototype_version`` at computation time.  A lookup whose
-prototype version disagrees evicts the entry and reports a miss.
-
-All values are defensively copied on both insert and lookup: cache
-memory is never aliased by callers.
+forecast for an *unchanged* window, so a lookup whose prototype version
+disagrees evicts the slot and reports a miss.  Values are copied on both
+insert and lookup: cache memory is never aliased by callers.
 """
 
 from __future__ import annotations
@@ -26,14 +25,15 @@ import numpy as np
 
 
 class ForecastCache:
-    """Thread-safe LRU cache of ``(entity, version, horizon)`` forecasts."""
+    """Thread-safe LRU of per-entity forecast slots; ``capacity`` bounds
+    the number of entities held."""
 
     def __init__(self, capacity: int = 512):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple[int, np.ndarray]] = OrderedDict()
+        self._slots: OrderedDict[str, tuple[int, int, int, np.ndarray]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -43,46 +43,45 @@ class ForecastCache:
     ) -> np.ndarray | None:
         """A copy of the cached forecast, or ``None`` on miss.
 
-        An entry computed under a different ``prototype_version`` is
+        A slot computed under a different ``prototype_version`` is
         evicted on sight (the prototype EMA moved the dictionary since).
         """
-        key = (entity, version, horizon)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            slot = self._slots.get(entity)
+            if slot is None or slot[0] != version or slot[1] != horizon:
                 self.misses += 1
                 return None
-            if entry[0] != prototype_version:
-                del self._entries[key]
+            if slot[2] != prototype_version:
+                del self._slots[entity]
                 self.invalidations += 1
                 self.misses += 1
                 return None
-            self._entries.move_to_end(key)
+            self._slots.move_to_end(entity)
             self.hits += 1
-            return entry[1].copy()
+            return slot[3].copy()
 
     def put(
-        self,
-        entity: str,
-        version: int,
-        horizon: int,
-        prototype_version: int,
+        self, entity: str, version: int, horizon: int, prototype_version: int,
         forecast: np.ndarray,
     ) -> None:
-        key = (entity, version, horizon)
+        """Fill the entity's slot, unless it holds a newer ring version."""
         with self._lock:
-            self._entries[key] = (prototype_version, np.array(forecast, copy=True))
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            slot = self._slots.get(entity)
+            if slot is not None and slot[0] > version:
+                return
+            forecast = np.array(forecast, copy=True)
+            self._slots[entity] = (version, horizon, prototype_version, forecast)
+            self._slots.move_to_end(entity)
+            if len(self._slots) > self.capacity:
+                self._slots.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._slots.clear()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._slots)
 
     @property
     def hit_rate(self) -> float:

@@ -948,8 +948,9 @@ class ShardRouter:
             for index, result in zip(indices, answers[shard]):
                 results[index] = result
         with self._last_row_lock:
-            for entity_id, row in zip(entity_ids, block):
-                self._last_row[entity_id] = row.copy()
+            for entity_id, row, result in zip(entity_ids, block, results):
+                if result.accepted and not result.imputed:
+                    self._last_row[entity_id] = row.copy()
         if self._maintenance is not None:
             self._maintenance.record_many(entity_ids, block)
         return results
@@ -969,9 +970,10 @@ class ShardRouter:
         result = self._handle_for(entity_id).call(
             "observe_many", (entity_id, block), self.config.call_timeout
         )
-        if len(block):
+        row = _last_clean_row(block)
+        if row is not None:
             with self._last_row_lock:
-                self._last_row[entity_id] = block[-1].copy()
+                self._last_row[entity_id] = row
         if self._maintenance is not None:
             self._maintenance.record_many([entity_id] * len(block), block)
         return result
@@ -1214,6 +1216,13 @@ class ShardRouter:
         return totals
 
 
+def _last_clean_row(block: np.ndarray) -> np.ndarray | None:
+    """A copy of the last all-finite row of ``block`` (the last one a
+    shard accepts without rejecting or imputing it), else ``None``."""
+    clean = np.flatnonzero(np.isfinite(block).all(axis=1))
+    return np.array(block[clean[-1]], dtype=np.float64) if len(clean) else None
+
+
 def replay_fleet(
     router: ShardRouter,
     streams: dict[str, np.ndarray],
@@ -1263,11 +1272,11 @@ def replay_fleet(
         ),
         key=lambda item: item[:2],
     )
-    if length:
-        # The fallback's last row: the last one the shards observed.
-        with router._last_row_lock:
-            for entity_id, stream in streams.items():
-                router._last_row[entity_id] = np.array(stream[-1], dtype=np.float64)
+    with router._last_row_lock:
+        for entity_id, stream in streams.items():
+            row = _last_clean_row(stream)
+            if row is not None:
+                router._last_row[entity_id] = row
     responses = [item[2] for item in merged]
     if with_latencies:
         return responses, [item[3] for item in merged]

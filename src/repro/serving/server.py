@@ -12,8 +12,9 @@ Ties the serving subsystem together in front of one trained
   queued — they are answered *immediately* from the model-free fallback
   (``source="rejected:<kind>"``), so a burst degrades answer quality
   instead of latency or memory;
-- a versioned :class:`~repro.serving.ForecastCache` (invalidated by
-  prototype EMA updates via the model's ``prototype_version``);
+- a versioned :class:`~repro.serving.ForecastCache`, one slot per
+  entity (``cache_capacity`` bounds entities), invalidated by
+  prototype EMA updates via the model's ``prototype_version``;
 - a serving-level :class:`~repro.robustness.health.HealthMonitor`, a
   :class:`~repro.telemetry.MetricsRegistry` (queue-depth gauge,
   batch-size/latency histograms, per-source forecast counters, cache

@@ -128,7 +128,7 @@ class EntitySession:
         The pair is consistent: the version is read under the same lock
         that guards ring writes, so a forecast computed from the window
         is exactly the forecast for that version — the invariant the
-        serving cache's ``(entity, version, horizon)`` key relies on.
+        serving cache's version-exact lookup relies on.
         """
         with self.lock:
             return self.ring.window(), self.ring.version

@@ -353,6 +353,40 @@ class TestRouterTraffic:
         expected = np.repeat(block[-1][None, :], model.config.horizon, axis=0)
         assert np.array_equal(response.forecast, expected)
 
+    def test_shed_fallback_skips_rejected_rows(self, router, model):
+        """A row the shard rejects never becomes the persistence row."""
+        rng = np.random.default_rng(22)
+        block = rng.normal(size=(LOOKBACK, NUM_ENTITIES))
+        router.observe_many("shed-nan", block)
+        assert router.observe("shed-nan", np.full(NUM_ENTITIES, np.nan)).rejected == 1
+        tail = block.copy()
+        tail[-1, 0] = np.nan  # the block's last row is rejected too
+        assert router.observe_many("shed-nan", tail).rejected == 1
+        handle = router._workers[router.shard_for("shed-nan")]
+        handle.inflight = router.config.max_inflight
+        try:
+            response = router.forecast("shed-nan")
+        finally:
+            handle.inflight = 0
+        assert response.source == "rejected:fleet"
+        assert np.isfinite(response.forecast).all()
+        expected = np.repeat(tail[-2][None, :], model.config.horizon, axis=0)
+        assert np.array_equal(response.forecast, expected)
+
+    def test_replay_fleet_fallback_skips_rejected_rows(self, router, model):
+        stream = np.random.default_rng(23).normal(size=(LOOKBACK + 8, NUM_ENTITIES))
+        stream[-1, 1] = np.nan
+        replay_fleet(router, {"shed-replay": stream})
+        handle = router._workers[router.shard_for("shed-replay")]
+        handle.inflight = router.config.max_inflight
+        try:
+            response = router.forecast("shed-replay")
+        finally:
+            handle.inflight = 0
+        assert response.source == "rejected:fleet"
+        expected = np.repeat(stream[-2][None, :], model.config.horizon, axis=0)
+        assert np.array_equal(response.forecast, expected)
+
     def test_first_request_for_unknown_entity_is_never_shed(self, router):
         rng = np.random.default_rng(16)
         handle = router._workers[router.shard_for("shed-fresh")]
