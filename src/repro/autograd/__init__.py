@@ -19,9 +19,10 @@ Public surface:
 - :func:`legacy_accumulation` to benchmark against the historical
   allocate-per-accumulation backward pass.
 - :func:`gradcheck` for verifying analytic gradients numerically.
-- Graph capture for the plan engine (:func:`capture_graph`, :func:`live`)
-  and the non-differentiable selection ops of
-  :mod:`repro.autograd.select_ops`.
+- Graph capture for the plan engine (:func:`capture_graph`, :func:`live`).
+  Every op is declared once with
+  :func:`repro.autograd.select_ops.declare`, which also holds the
+  non-differentiable selection ops.
 """
 
 from repro.autograd.tensor import (

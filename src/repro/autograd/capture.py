@@ -1,11 +1,11 @@
 """Graph capture: record one forward pass as a replayable op trace.
 
 While a :class:`GraphCapture` is active on a thread (via
-:func:`capture_graph`), every op built through ``Tensor._make`` (or a
-declared op of :mod:`repro.autograd.select_ops`) is recorded in
-construction order — which is already a topological order of the
-data-flow graph — together with its parent tensors and the non-Tensor
-arguments (``extras``) the op needs to run again.  The recording is the
+:func:`capture_graph`), every op (each one declared in
+:mod:`repro.autograd.select_ops`) is recorded in construction order —
+which is already a topological order of the data-flow graph — together
+with its parent tensors and the non-Tensor arguments (``extras``) the
+op needs to run again.  The recording is the
 input to :mod:`repro.engine`, which lowers it to a flat
 :class:`~repro.engine.ExecutionPlan` with no Tensor wrappers and no grad
 bookkeeping.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd.select_ops import declare
 from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
 
 
@@ -37,22 +38,26 @@ def matmul_grad_b(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return unbroadcast(gb, b.shape)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product following ``numpy.matmul`` semantics.
-
-    Supports 1-D operands (vector dot / matrix-vector) and arbitrary
-    broadcast batch dimensions, with gradients reduced back to each
-    operand's shape.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor._make(
-        a.data @ b.data,
-        [
-            (a, lambda g: matmul_grad_a(g, a.data, b.data)),
-            (b, lambda g: matmul_grad_b(g, a.data, b.data)),
-        ],
-        "matmul",
+def _matmul_backward(g, out, saved, a, b, needs):
+    return (
+        matmul_grad_a(g, a, b) if needs[0] else None,
+        matmul_grad_b(g, a, b) if needs[1] else None,
     )
+
+
+#: Matrix product following ``numpy.matmul`` semantics: 1-D operands
+#: (vector dot / matrix-vector) and broadcast batch dimensions, with
+#: gradients reduced back to each operand's shape.
+matmul = declare("matmul", np.matmul, _matmul_backward)
+
+
+def _outer_backward(g, out, saved, a, b, needs):
+    return g @ b if needs[0] else None, g.T @ a if needs[1] else None
+
+
+_outer = declare(
+    "outer", lambda a, b, out=None, work=None: np.outer(a, b, out), _outer_backward
+)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
@@ -60,8 +65,4 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("outer() expects 1-D tensors")
-    return Tensor._make(
-        np.outer(a.data, b.data),
-        [(a, lambda g: g @ b.data), (b, lambda g: g.T @ a.data)],
-        "outer",
-    )
+    return _outer(a, b)

@@ -1,4 +1,5 @@
-"""Shape-manipulation operations (all differentiable)."""
+"""Shape-manipulation operations (all differentiable), ``Tensor``
+indexing among them."""
 
 from __future__ import annotations
 
@@ -6,16 +7,35 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, as_tensor
+from repro.autograd.select_ops import declare
+from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
+
+
+def _back_to_input_shape(g, out, saved, x, needs, **params):
+    return (g.reshape(x.shape),)
+
+
+def _getitem_backward(g, out, saved, x, index, needs):
+    full = np.zeros_like(x)
+    np.add.at(full, index, g)
+    return (full,)
+
+
+#: ``x[index]``: a view for basic indexing, a new array for fancy indexing.
+getitem = declare(
+    "getitem", lambda x, index, out=None, work=None: x[index], _getitem_backward, "view"
+)
+_reshape = declare(
+    "reshape",
+    lambda x, shape, out=None, work=None: x.reshape(shape),
+    _back_to_input_shape,
+    "view",
+)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     """Reshape without copying semantics (gradient reshapes back)."""
-    x = as_tensor(x)
-    shape = tuple(shape)
-    return Tensor._make(
-        x.data.reshape(shape), [(x, lambda g: g.reshape(x.shape))], "reshape"
-    )
+    return _reshape(x, shape=tuple(shape))
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -23,44 +43,61 @@ def flatten(x: Tensor) -> Tensor:
     return reshape(x, (-1,))
 
 
+def _transpose_backward(g, out, saved, x, axes, needs):
+    return (g.transpose(tuple(int(i) for i in np.argsort(axes))),)
+
+
+_transpose = declare(
+    "transpose",
+    lambda x, axes, out=None, work=None: x.transpose(axes),
+    _transpose_backward,
+    "view",
+)
+
+
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute axes (all reversed when ``axes`` is None)."""
     x = as_tensor(x)
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
-    axes = tuple(axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    return Tensor._make(
-        x.data.transpose(axes),
-        [(x, lambda g: g.transpose(inverse))],
-        "transpose",
-        extras=axes,
-    )
+    return _transpose(x, axes=tuple(axes))
+
+
+_swapaxes = declare(
+    "swapaxes",
+    lambda x, axis1, axis2, out=None, work=None: x.swapaxes(axis1, axis2),
+    lambda g, out, saved, x, axis1, axis2, needs: (np.swapaxes(g, axis1, axis2),),
+    "view",
+)
 
 
 def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
     """Exchange two axes."""
-    x = as_tensor(x)
-    return Tensor._make(
-        np.swapaxes(x.data, axis1, axis2),
-        [(x, lambda g: np.swapaxes(g, axis1, axis2))],
-        "swapaxes",
-        extras=(axis1, axis2),
-    )
+    return _swapaxes(x, axis1=axis1, axis2=axis2)
+
+
+_squeeze = declare(
+    "squeeze",
+    lambda x, axis, out=None, work=None: np.squeeze(x, axis=axis),
+    _back_to_input_shape,
+    "view",
+)
+_unsqueeze = declare(
+    "unsqueeze",
+    lambda x, axis, out=None, work=None: np.expand_dims(x, axis=axis),
+    _back_to_input_shape,
+    "view",
+)
 
 
 def squeeze(x: Tensor, axis: int | None = None) -> Tensor:
     """Drop size-1 axes."""
-    x = as_tensor(x)
-    out_data = np.squeeze(x.data, axis=axis)
-    return Tensor._make(out_data, [(x, lambda g: g.reshape(x.shape))], "squeeze")
+    return _squeeze(x, axis=axis)
 
 
 def unsqueeze(x: Tensor, axis: int) -> Tensor:
     """Insert a size-1 axis at ``axis``."""
-    x = as_tensor(x)
-    out_data = np.expand_dims(x.data, axis=axis)
-    return Tensor._make(out_data, [(x, lambda g: g.reshape(x.shape))], "unsqueeze")
+    return _unsqueeze(x, axis=axis)
 
 
 def expand_dims(x: Tensor, axis: int) -> Tensor:
@@ -68,83 +105,126 @@ def expand_dims(x: Tensor, axis: int) -> Tensor:
     return unsqueeze(x, axis)
 
 
+def _broadcast_to(x, shape, out=None, work=None):
+    if out is None:
+        out = np.empty(shape, x.dtype)
+    np.copyto(out, x)
+    return out
+
+
+_broadcast_to_op = declare(
+    "broadcast_to",
+    _broadcast_to,
+    lambda g, out, saved, x, shape, needs: (unbroadcast(g, x.shape),),
+)
+
+
 def broadcast_to(x: Tensor, shape: Sequence[int]) -> Tensor:
     """Materialize a broadcast view; the gradient sums back."""
-    x = as_tensor(x)
-    shape = tuple(shape)
-    from repro.autograd.tensor import unbroadcast
+    return _broadcast_to_op(x, shape=tuple(shape))
 
-    return Tensor._make(
-        np.broadcast_to(x.data, shape).copy(),
-        [(x, lambda g: unbroadcast(g, x.shape))],
-        "broadcast_to",
-    )
+
+def _repeat_backward(g, out, saved, x, repeats, axis, needs):
+    axis_norm = axis % x.ndim
+    reshaped = list(x.shape)
+    reshaped.insert(axis_norm + 1, repeats)
+    return (g.reshape(reshaped).sum(axis=axis_norm + 1),)
+
+
+_repeat = declare(
+    "repeat",
+    lambda x, repeats, axis, out=None, work=None: np.repeat(x, repeats, axis=axis),
+    _repeat_backward,
+    "fresh",
+)
 
 
 def repeat(x: Tensor, repeats: int, axis: int) -> Tensor:
     """Tile ``x`` ``repeats`` times along ``axis`` (numpy.repeat semantics)."""
-    x = as_tensor(x)
-    out_data = np.repeat(x.data, repeats, axis=axis)
+    return _repeat(x, repeats=repeats, axis=axis)
 
-    def grad_fn(g: np.ndarray) -> np.ndarray:
-        axis_norm = axis % x.ndim
-        reshaped = list(x.shape)
-        reshaped.insert(axis_norm + 1, repeats)
-        return g.reshape(reshaped).sum(axis=axis_norm + 1)
 
-    return Tensor._make(out_data, [(x, grad_fn)], "repeat", extras=(repeats, axis))
+def _concat_backward(g, out, saved, *arrays, axis, needs):
+    grads = []
+    start = 0
+    for array in arrays:
+        slicer = [slice(None)] * g.ndim
+        slicer[axis] = slice(start, start + array.shape[axis])
+        grads.append(g[tuple(slicer)])
+        start += array.shape[axis]
+    return grads
+
+
+_concat = declare(
+    "concat",
+    lambda *arrays, axis, out=None, work=None: np.concatenate(arrays, axis=axis, out=out),
+    _concat_backward,
+)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along an existing axis."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    axis_norm = axis % out_data.ndim
-    offsets = np.cumsum([0] + [t.shape[axis_norm] for t in tensors])
+    return _concat(*tensors, axis=axis % tensors[0].ndim)
 
-    def make_grad_fn(index: int):
-        start, stop = offsets[index], offsets[index + 1]
-        slicer = [slice(None)] * out_data.ndim
-        slicer[axis_norm] = slice(start, stop)
-        slicer = tuple(slicer)
-        return lambda g: g[slicer]
 
-    parents = [(t, make_grad_fn(i)) for i, t in enumerate(tensors)]
-    return Tensor._make(out_data, parents, "concat", extras=axis_norm)
+_stack = declare(
+    "stack",
+    lambda *arrays, axis, out=None, work=None: np.stack(arrays, axis=axis, out=out),
+    lambda g, out, saved, *arrays, axis, needs: [
+        np.take(g, index, axis=axis) if need else None for index, need in enumerate(needs)
+    ],
+)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack along a new axis."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    axis_norm = axis % out_data.ndim
+    return _stack(*tensors, axis=axis % (tensors[0].ndim + 1))
 
-    def make_grad_fn(index: int):
-        return lambda g: np.take(g, index, axis=axis_norm)
 
-    parents = [(t, make_grad_fn(i)) for i, t in enumerate(tensors)]
-    return Tensor._make(out_data, parents, "stack", extras=axis_norm)
+def _section(axis: int, start: int, stop: int) -> tuple:
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _split_backward(g, out, saved, x, axis, start, stop, needs):
+    full = np.zeros_like(x)
+    full[_section(axis, start, stop)] = g
+    return (full,)
+
+
+_split = declare(
+    "split",
+    lambda x, axis, start, stop, out=None, work=None: x[_section(axis, start, stop)],
+    _split_backward,
+    "view",
+)
 
 
 def split(x: Tensor, sections: int, axis: int = 0) -> list[Tensor]:
     """Split into equal sections along ``axis`` (numpy.split semantics)."""
     x = as_tensor(x)
-    axis_norm = axis % x.ndim
-    pieces = np.split(x.data, sections, axis=axis_norm)
-    width = x.shape[axis_norm] // sections
-    outputs = []
-    for i, piece in enumerate(pieces):
-        start = i * width
+    axis = axis % x.ndim
+    if x.shape[axis] % sections:
+        raise ValueError("array split does not result in an equal division")
+    width = x.shape[axis] // sections
+    return [
+        _split(x, axis=axis, start=start, stop=start + width)
+        for start in range(0, x.shape[axis], width)
+    ]
 
-        def grad_fn(g: np.ndarray, start=start) -> np.ndarray:
-            full = np.zeros_like(x.data)
-            slicer = [slice(None)] * x.ndim
-            slicer[axis_norm] = slice(start, start + width)
-            full[tuple(slicer)] = g
-            return full
 
-        outputs.append(Tensor._make(piece, [(x, grad_fn)], "split"))
-    return outputs
+def _pad_backward(g, out, saved, x, pad_width, needs):
+    inner = tuple(slice(before, before + n) for (before, _), n in zip(pad_width, x.shape))
+    return (g[inner],)
+
+
+_pad = declare(
+    "pad",
+    lambda x, pad_width, out=None, work=None: np.pad(x, pad_width, mode="constant"),
+    _pad_backward,
+    "fresh",
+)
 
 
 def pad(x: Tensor, pad_width, mode: str = "constant") -> Tensor:
@@ -152,31 +232,29 @@ def pad(x: Tensor, pad_width, mode: str = "constant") -> Tensor:
     if mode != "constant":
         raise ValueError("only constant (zero) padding supports gradients")
     x = as_tensor(x)
-    pad_width = np.asarray(pad_width)
-    if pad_width.ndim == 1:
-        pad_width = np.broadcast_to(pad_width, (x.ndim, 2))
-    out_data = np.pad(x.data, pad_width, mode="constant")
-    slicer = tuple(
-        slice(int(before), int(before) + dim)
-        for (before, _), dim in zip(pad_width, x.shape)
+    pad_width = np.broadcast_to(np.asarray(pad_width), (x.ndim, 2))
+    return _pad(x, pad_width=tuple((int(before), int(after)) for before, after in pad_width))
+
+
+def _gather_backward(g, out, saved, x, indices, axis, needs):
+    full = np.zeros_like(x)
+    axis_norm = axis % x.ndim
+    moved = np.moveaxis(full, axis_norm, 0)
+    g_moved = np.moveaxis(
+        g, tuple(range(axis_norm, axis_norm + indices.ndim)), tuple(range(indices.ndim))
     )
-    return Tensor._make(out_data, [(x, lambda g: g[slicer])], "pad")
+    np.add.at(moved, indices, g_moved)
+    return (full,)
+
+
+_gather = declare(
+    "gather",
+    lambda x, indices, axis, out=None, work=None: np.take(x, indices, axis=axis),
+    _gather_backward,
+    "fresh",
+)
 
 
 def gather(x: Tensor, indices, axis: int = 0) -> Tensor:
     """Take rows/elements by integer indices along ``axis``."""
-    x = as_tensor(x)
-    indices = np.asarray(indices, dtype=np.int64)
-    out_data = np.take(x.data, indices, axis=axis)
-
-    def grad_fn(g: np.ndarray) -> np.ndarray:
-        full = np.zeros_like(x.data)
-        axis_norm = axis % x.ndim
-        moved = np.moveaxis(full, axis_norm, 0)
-        g_moved = np.moveaxis(
-            g, tuple(range(axis_norm, axis_norm + indices.ndim)), tuple(range(indices.ndim))
-        )
-        np.add.at(moved, indices, g_moved)
-        return full
-
-    return Tensor._make(out_data, [(x, grad_fn)], "gather", extras=(indices, axis))
+    return _gather(x, indices=np.asarray(indices, dtype=np.int64), axis=axis)

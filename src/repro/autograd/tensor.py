@@ -1,7 +1,8 @@
 """Core :class:`Tensor` type and the backward machinery.
 
 A ``Tensor`` wraps a ``numpy.ndarray`` and, when gradients are enabled,
-records how it was produced: every differentiable operation attaches a list
+records how it was produced: every differentiable operation (declared in
+:mod:`repro.autograd.select_ops`) attaches a list
 of ``(parent, grad_fn)`` pairs to its output, where ``grad_fn`` maps the
 gradient flowing into the output to the gradient contribution for that
 parent (or to a tuple of contributions, added in order).
@@ -268,6 +269,7 @@ class Tensor:
     ) -> "Tensor":
         """Create an op output, wiring in parents when autograd is on.
 
+        Called by the ops of :func:`repro.autograd.select_ops.declare`.
         ``extras`` carries the non-Tensor op arguments (reduction axes,
         transpose permutations, clip bounds, ...) that a graph capture
         needs to replay the op; it is ignored when no capture is active.
@@ -326,9 +328,7 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
-        from repro.autograd.shape_ops import transpose
-
-        return transpose(self)
+        return shape_ops.transpose(self)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -512,82 +512,40 @@ class Tensor:
     # Arithmetic operators
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = _operand(other, self.data.dtype)
-        return Tensor._make(
-            self.data + other.data,
-            [(self, lambda g: g), (other, lambda g: g)],
-            "add",
-        )
+        return math_ops.add(self, _operand(other, self.data.dtype))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = _operand(other, self.data.dtype)
-        return Tensor._make(
-            self.data - other.data,
-            [(self, lambda g: g), (other, lambda g: -g)],
-            "sub",
-        )
+        return math_ops.sub(self, _operand(other, self.data.dtype))
 
     def __rsub__(self, other) -> "Tensor":
         return _operand(other, self.data.dtype).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
-        other = _operand(other, self.data.dtype)
-        return Tensor._make(
-            self.data * other.data,
-            [(self, lambda g: g * other.data), (other, lambda g: g * self.data)],
-            "mul",
-        )
+        return math_ops.mul(self, _operand(other, self.data.dtype))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = _operand(other, self.data.dtype)
-        return Tensor._make(
-            self.data / other.data,
-            [
-                (self, lambda g: g / other.data),
-                (other, lambda g: -g * self.data / (other.data**2)),
-            ],
-            "div",
-        )
+        return math_ops.div(self, _operand(other, self.data.dtype))
 
     def __rtruediv__(self, other) -> "Tensor":
         return _operand(other, self.data.dtype).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        return Tensor._make(-self.data, [(self, lambda g: -g)], "neg")
+        return math_ops.neg(self)
 
     def __pow__(self, exponent) -> "Tensor":
         if isinstance(exponent, Tensor):
-            base, expo = self, exponent
-            out_data = base.data**expo.data
-            return Tensor._make(
-                out_data,
-                [
-                    (base, lambda g: g * expo.data * base.data ** (expo.data - 1)),
-                    (expo, lambda g: g * out_data * np.log(base.data)),
-                ],
-                "pow",
-            )
-        exponent = float(exponent)
-        return Tensor._make(
-            self.data**exponent,
-            [(self, lambda g: g * exponent * self.data ** (exponent - 1))],
-            "pow_const",
-            extras=exponent,
-        )
+            return math_ops.pow(self, exponent)
+        return math_ops.pow_const(self, exponent=float(exponent))
 
     def __matmul__(self, other) -> "Tensor":
-        from repro.autograd.linalg_ops import matmul
-
-        return matmul(self, other)
+        return linalg_ops.matmul(self, other)
 
     def __rmatmul__(self, other) -> "Tensor":
-        from repro.autograd.linalg_ops import matmul
-
-        return matmul(as_tensor(other), self)
+        return linalg_ops.matmul(as_tensor(other), self)
 
     # ------------------------------------------------------------------
     # Comparison operators (non-differentiable, return plain ndarrays)
@@ -617,124 +575,75 @@ class Tensor:
     # Indexing
     # ------------------------------------------------------------------
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, g)
-            return full
-
-        return Tensor._make(out_data, [(self, grad_fn)], "getitem", extras=index)
+        return shape_ops.getitem(self, index=index)
 
     # ------------------------------------------------------------------
     # Method-style access to functional ops
     # ------------------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":
-        from repro.autograd.shape_ops import reshape
-
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        return reshape(self, shape)
+        return shape_ops.reshape(self, shape)
 
     def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        from repro.autograd.shape_ops import transpose
-
-        return transpose(self, axes)
+        return shape_ops.transpose(self, axes)
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        from repro.autograd.shape_ops import swapaxes
-
-        return swapaxes(self, axis1, axis2)
+        return shape_ops.swapaxes(self, axis1, axis2)
 
     def flatten(self) -> "Tensor":
-        from repro.autograd.shape_ops import flatten
-
-        return flatten(self)
+        return shape_ops.flatten(self)
 
     def squeeze(self, axis: int | None = None) -> "Tensor":
-        from repro.autograd.shape_ops import squeeze
-
-        return squeeze(self, axis)
+        return shape_ops.squeeze(self, axis)
 
     def unsqueeze(self, axis: int) -> "Tensor":
-        from repro.autograd.shape_ops import unsqueeze
-
-        return unsqueeze(self, axis)
+        return shape_ops.unsqueeze(self, axis)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        from repro.autograd.reduce_ops import sum as _sum
-
-        return _sum(self, axis=axis, keepdims=keepdims)
+        return reduce_ops.sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        from repro.autograd.reduce_ops import mean
-
-        return mean(self, axis=axis, keepdims=keepdims)
+        return reduce_ops.mean(self, axis=axis, keepdims=keepdims)
 
     def var(self, axis=None, keepdims: bool = False, ddof: int = 0) -> "Tensor":
-        from repro.autograd.reduce_ops import var
-
-        return var(self, axis=axis, keepdims=keepdims, ddof=ddof)
+        return reduce_ops.var(self, axis=axis, keepdims=keepdims, ddof=ddof)
 
     def std(self, axis=None, keepdims: bool = False, ddof: int = 0) -> "Tensor":
-        from repro.autograd.reduce_ops import std
-
-        return std(self, axis=axis, keepdims=keepdims, ddof=ddof)
+        return reduce_ops.std(self, axis=axis, keepdims=keepdims, ddof=ddof)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        from repro.autograd.reduce_ops import max as _max
-
-        return _max(self, axis=axis, keepdims=keepdims)
+        return reduce_ops.max(self, axis=axis, keepdims=keepdims)
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        from repro.autograd.reduce_ops import min as _min
-
-        return _min(self, axis=axis, keepdims=keepdims)
+        return reduce_ops.min(self, axis=axis, keepdims=keepdims)
 
     def exp(self) -> "Tensor":
-        from repro.autograd.math_ops import exp
-
-        return exp(self)
+        return math_ops.exp(self)
 
     def log(self) -> "Tensor":
-        from repro.autograd.math_ops import log
-
-        return log(self)
+        return math_ops.log(self)
 
     def sqrt(self) -> "Tensor":
-        from repro.autograd.math_ops import sqrt
-
-        return sqrt(self)
+        return math_ops.sqrt(self)
 
     def abs(self) -> "Tensor":
-        from repro.autograd.math_ops import abs as _abs
-
-        return _abs(self)
+        return math_ops.abs(self)
 
     def tanh(self) -> "Tensor":
-        from repro.autograd.math_ops import tanh
-
-        return tanh(self)
+        return math_ops.tanh(self)
 
     def sigmoid(self) -> "Tensor":
-        from repro.autograd.math_ops import sigmoid
-
-        return sigmoid(self)
+        return math_ops.sigmoid(self)
 
     def relu(self) -> "Tensor":
-        from repro.autograd.math_ops import relu
-
-        return relu(self)
+        return math_ops.relu(self)
 
     def clip(self, low: float | None = None, high: float | None = None) -> "Tensor":
-        from repro.autograd.math_ops import clip
-
-        return clip(self, low, high)
+        return math_ops.clip(self, low, high)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        from repro.autograd.reduce_ops import softmax
-
-        return softmax(self, axis=axis)
+        return reduce_ops.softmax(self, axis=axis)
 
     def matmul(self, other) -> "Tensor":
         return self.__matmul__(other)
@@ -867,3 +776,7 @@ def arange(*args, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(
         np.arange(*args, dtype=dtype or get_default_dtype()), requires_grad=requires_grad
     )
+
+
+# The op modules behind the operators and methods need ``Tensor`` themselves.
+from repro.autograd import linalg_ops, math_ops, reduce_ops, shape_ops  # noqa: E402

@@ -501,12 +501,14 @@ class FOCUSForecaster(Module):
     PLAN_CACHE_CAPACITY = 8
     #: Smallest batch the plan engine replays as two row halves on two
     #: threads (:func:`repro.engine.lanes.run_two_lanes`).  Measured on
-    #: the perfbench config (L=96, N=12, p=12, k=8, d=32), 2 vCPUs, best
-    #: of 5 rounds, one lane -> two lanes: B=64 1.55x, B=32 1.80x,
-    #: B=16 1.24x, B=8 1.01x, B=4 0.56x (the hand-off and the GIL
-    #: switches cost more than small kernels save).  32 splits every
-    #: full ``max_batch`` chunk and keeps the 16-row and smaller
-    #: forwards of maintenance and shadow scoring on one lane.
+    #: the perfbench config (L=96, N=12, p=12, k=8, d=32), 2 vCPUs with
+    #: no steal, medians of 80 alternating rounds in each of three runs,
+    #: one lane -> two lanes: B=64 1.63-1.83x, B=32 1.54-1.82x,
+    #: B=16 1.40-1.71x, B=8 1.04-1.13x.  Under heavy hypervisor steal
+    #: every size read 0.95-1.17x, which is why ``run_two_lanes`` keeps
+    #: measuring both ways.  32 splits every full ``max_batch`` chunk
+    #: and keeps the 16-row and smaller forwards of maintenance and
+    #: shadow scoring on one lane.
     TWO_LANE_MIN_ROWS = 32
 
     def _chunk_plans(self, windows: np.ndarray, lane: int = 0) -> list:

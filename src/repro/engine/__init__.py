@@ -2,10 +2,12 @@
 
 Lowers one captured FOCUS forward to a flat numpy replay with no Tensor
 wrappers, no grad bookkeeping, constant-folded input-independent
-subgraphs, and liveness-assigned arena buffers.  The eager autograd
-forward stays the reference implementation; plans are proven
-bit-identical to it (in float64) by the ``tests/plan`` differential
-suite and by a mandatory compile-time self-check.
+subgraphs, and liveness-assigned arena buffers.  It has no kernels of
+its own: each step runs the op's one declared forward
+(:data:`repro.autograd.select_ops.FORWARDS`), the function the eager
+autograd forward runs too.  The eager forward stays the reference;
+plans are proven bit-identical to it (in float64) by the ``tests/plan``
+differential suite and by a mandatory compile-time self-check.
 
 Entry points: :meth:`repro.core.model.FOCUSForecaster.forecast_batch`
 with ``engine="plan"``, which the serving stack (``ServingConfig``,

@@ -5,18 +5,21 @@ wrapping, operand coercion, observer checks, and grad-closure
 construction, even under ``no_grad``.  An :class:`ExecutionPlan` strips
 all of it away once: a captured forward (see
 :mod:`repro.autograd.capture`) is lowered to a flat, topologically
-ordered list of ``(kernel, source slots, output slot)`` steps that
+ordered list of ``(forward, source slots, output slot)`` steps that
 replay as plain numpy calls into a preallocated per-thread arena; each
 arena runs its steps as one generated straight-line function.
 
 The lowering makes three guarantees:
 
-**Bitwise equivalence.**  Every kernel executes the *same* numpy ufuncs
-in the *same* order as the eager op it replaces — ``out=`` destinations
-and in-place elementwise chaining never change the floating-point
-arithmetic, so a float64 replay is bit-identical to the eager forward
-(``tests/plan`` pins this, and every compile self-checks against the
-traced output before the plan is returned).
+**Bitwise equivalence.**  Every op is declared once
+(:func:`repro.autograd.select_ops.declare`), and a step runs the op's
+one forward from :data:`~repro.autograd.select_ops.FORWARDS`, the
+function eager runs, into an arena buffer laid out in memory like the
+eager output.  ``out=`` destinations and in-place elementwise chaining
+never change the floating-point arithmetic, so a float64 replay is
+bit-identical to the eager forward (``tests/plan`` pins this, and every
+compile self-checks against the traced output before the plan is
+returned).
 
 **Constant folding with live leaves.**  Any node whose ancestors are
 all input-independent leaves is folded to the value captured at trace
@@ -34,7 +37,8 @@ place without retracing is **not** supported while a plan is cached;
 **Arena reuse.**  Output buffers are assigned by liveness (linear-scan
 over the flat op list, views extending their root storage's lifetime),
 and elementwise ops whose source storage dies at that step write in
-place — fusing elementwise chains into a single buffer.  Arenas are
+place — fusing elementwise chains into a single buffer.  Each op's
+declared kind says which of these its output may do.  Arenas are
 per-thread (``threading.local``), so one shared plan replays
 concurrently from many serving threads without torn buffers; on one
 thread, plans share equal-spec buffers through a per-thread pool.  A
@@ -54,13 +58,10 @@ import weakref
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 from repro.autograd.capture import CapturedNode, GraphCapture
 from repro.autograd.select_ops import FORWARDS
 from repro.autograd.tensor import Tensor
-
-_SQRT_2 = float(np.sqrt(2.0))
 
 __all__ = [
     "ExecutionPlan",
@@ -80,67 +81,6 @@ class PlanUnsupportedError(PlanError):
     """The captured graph contains something the plan engine cannot replay."""
 
 
-# ----------------------------------------------------------------------
-# Kernel registry
-#
-# A kernel is a ufunc, run as ``ufunc(*srcs, out)``, or a function
-# ``kernel(srcs, out, scratch, extras)``.  Kinds:
-#   "ew"    elementwise; honors ``out=`` and may alias a dying source
-#           buffer (in-place chain fusion) without changing results.
-#   "out"   honors ``out=`` but must not alias any source (matmul,
-#           reductions, concat).
-#   "view"  returns a (possibly lazy-copied) view of its source; no
-#           buffer is allocated and the source storage stays live.
-#   "fresh" allocates its own result; no buffer is assigned.
-#
-# Every kernel reproduces the eager op's exact arithmetic: same ufuncs,
-# same operand order.  When numpy's operator fast paths could differ
-# from an explicit ufunc call (ndarray.__pow__, fancy indexing), the
-# kernel evaluates the eager expression verbatim instead of using out=.
-# The declared ops of repro.autograd.select_ops need no kernel here:
-# their one forward runs as an "out" kernel, called as
-# ``forward(*srcs, out=out, work=scratch, **extras)``.
-# ----------------------------------------------------------------------
-_KERNELS: dict[str, tuple[Callable, str]] = {}
-
-
-def _register(name: str, kind: str):
-    def deco(fn):
-        _KERNELS[name] = (fn, kind)
-        return fn
-
-    return deco
-
-
-_KERNELS.update(
-    (name, (ufunc, "ew"))
-    for name, ufunc in {
-        "add": np.add,
-        "sub": np.subtract,
-        "mul": np.multiply,
-        "div": np.true_divide,
-        "maximum": np.maximum,
-        "minimum": np.minimum,
-        "neg": np.negative,
-        "exp": np.exp,
-        "log": np.log,
-        "sqrt": np.sqrt,
-        "abs": np.absolute,
-        "sin": np.sin,
-        "cos": np.cos,
-        "tanh": np.tanh,
-        "sigmoid": _special.expit,
-        "erf": _special.erf,
-    }.items()
-)
-_KERNELS["matmul"] = (np.matmul, "out")
-
-
-@_register("softplus", "ew")
-def _k_softplus(srcs, out, scratch, extras):
-    return np.logaddexp(0.0, srcs[0], out=out)
-
-
 class _Scratch(dict):
     """A step's scratch state (one per step per arena).
 
@@ -157,192 +97,6 @@ class _Scratch(dict):
     def __missing__(self, key):
         buf = self[key] = scratch_buffer(*key, lane=self.lane)
         return buf
-
-
-@_register("gelu", "ew")
-def _k_gelu(srcs, out, scratch, extras):
-    # Eager: cdf = 0.5 * (1.0 + erf(x / sqrt(2))); out = x * cdf
-    x = srcs[0]
-    t = scratch["t", x.shape, x.dtype]
-    np.true_divide(x, _SQRT_2, out=t)
-    _special.erf(t, out=t)
-    np.add(1.0, t, out=t)
-    np.multiply(0.5, t, out=t)
-    return np.multiply(x, t, out=out)
-
-
-@_register("silu", "ew")
-def _k_silu(srcs, out, scratch, extras):
-    x = srcs[0]
-    t = scratch["t", x.shape, x.dtype]
-    _special.expit(x, out=t)
-    return np.multiply(x, t, out=out)
-
-
-@_register("softmax", "ew")
-def _k_softmax(srcs, out, scratch, extras):
-    # Eager: shifted = x - max; exped = exp(shifted); exped / sum(exped).
-    # Safe in place: once x is consumed by the subtract, only ``out`` is
-    # read, so ``out`` may alias a dying x.
-    # ndarray.max/.sum delegate to maximum.reduce/add.reduce
-    # (numpy/core/_methods.py umr_maximum/umr_sum): same arithmetic,
-    # less dispatch.
-    x = srcs[0]
-    peak = np.maximum.reduce(x, axis=extras, keepdims=True)
-    np.subtract(x, peak, out=out)
-    np.exp(out, out=out)
-    total = np.add.reduce(out, axis=extras, keepdims=True)
-    np.true_divide(out, total, out=out)
-    return out
-
-
-@_register("relu", "fresh")
-def _k_relu(srcs, out, scratch, extras):
-    x = srcs[0]
-    return np.where(x > 0, x, 0.0)
-
-
-@_register("leaky_relu", "fresh")
-def _k_leaky_relu(srcs, out, scratch, extras):
-    x = srcs[0]
-    slope = np.where(x > 0, 1.0, extras)
-    return x * slope
-
-
-@_register("pow_const", "fresh")
-def _k_pow_const(srcs, out, scratch, extras):
-    return srcs[0] ** extras
-
-
-@_register("pow", "fresh")
-def _k_pow(srcs, out, scratch, extras):
-    return srcs[0] ** srcs[1]
-
-
-@_register("clip", "fresh")
-def _k_clip(srcs, out, scratch, extras):
-    return np.clip(srcs[0], extras[0], extras[1])
-
-
-@_register("outer", "fresh")
-def _k_outer(srcs, out, scratch, extras):
-    return np.outer(srcs[0], srcs[1])
-
-
-@_register("sum", "out")
-def _k_sum(srcs, out, scratch, extras):
-    # np.sum delegates straight to add.reduce (numpy/core/_methods.py
-    # umr_sum); calling the ufunc method skips the dispatch wrapper.
-    return np.add.reduce(srcs[0], axis=extras[0], keepdims=extras[1], out=out)
-
-
-@_register("mean", "out")
-def _k_mean(srcs, out, scratch, extras):
-    # np.mean is exactly add.reduce followed by an in-place true_divide
-    # by the reduced element count (numpy/core/_methods.py _mean), so
-    # this is bitwise identical — except float16, where np.mean upcasts
-    # internally and therefore keeps the library path.
-    x = srcs[0]
-    if x.dtype == np.float16:
-        return np.mean(x, axis=extras[0], keepdims=extras[1], out=out)
-    count = scratch.get("count")
-    if count is None:
-        axes = extras[0]
-        if axes is None:
-            count = x.size
-        else:
-            count = 1
-            for axis in axes if isinstance(axes, tuple) else (axes,):
-                count *= x.shape[axis]
-        scratch["count"] = count
-    np.add.reduce(x, axis=extras[0], keepdims=extras[1], out=out)
-    return np.true_divide(out, count, out=out)
-
-
-@_register("max", "fresh")
-def _k_max(srcs, out, scratch, extras):
-    return np.max(srcs[0], axis=extras[0], keepdims=extras[1])
-
-
-@_register("min", "fresh")
-def _k_min(srcs, out, scratch, extras):
-    return np.min(srcs[0], axis=extras[0], keepdims=extras[1])
-
-
-@_register("log_softmax", "fresh")
-def _k_log_softmax(srcs, out, scratch, extras):
-    x = srcs[0]
-    shifted = x - x.max(axis=extras, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=extras, keepdims=True))
-    return shifted - lse
-
-
-@_register("logsumexp", "fresh")
-def _k_logsumexp(srcs, out, scratch, extras):
-    x = srcs[0]
-    axis, keepdims = extras
-    peak = x.max(axis=axis, keepdims=True)
-    out_keep = peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True))
-    return out_keep if keepdims else np.squeeze(out_keep, axis=axis)
-
-
-@_register("broadcast_to", "out")
-def _k_broadcast_to(srcs, out, scratch, extras):
-    np.copyto(out, srcs[0])
-    return out
-
-
-@_register("repeat", "fresh")
-def _k_repeat(srcs, out, scratch, extras):
-    return np.repeat(srcs[0], extras[0], axis=extras[1])
-
-
-@_register("concat", "out")
-def _k_concat(srcs, out, scratch, extras):
-    return np.concatenate(srcs, axis=extras, out=out)
-
-
-@_register("stack", "out")
-def _k_stack(srcs, out, scratch, extras):
-    return np.stack(srcs, axis=extras, out=out)
-
-
-@_register("gather", "fresh")
-def _k_gather(srcs, out, scratch, extras):
-    return np.take(srcs[0], extras[0], axis=extras[1])
-
-
-@_register("getitem", "fresh")
-def _k_getitem(srcs, out, scratch, extras):
-    result = srcs[0][extras]
-    if not isinstance(result, np.ndarray):
-        return np.asarray(result)
-    # Basic slicing yields a view into a reusable arena buffer; detach it.
-    return result.copy() if result.base is not None else result
-
-
-# Pure view kernels: ``extras`` is rewritten at compile time to the
-# recorded output shape where the original op argument is not enough.
-@_register("reshape", "view")
-def _k_reshape(srcs, out, scratch, extras):
-    return srcs[0].reshape(extras)
-
-
-_KERNELS["squeeze"] = (_k_reshape, "view")
-_KERNELS["unsqueeze"] = (_k_reshape, "view")
-
-
-@_register("transpose", "view")
-def _k_transpose(srcs, out, scratch, extras):
-    return srcs[0].transpose(extras)
-
-
-@_register("swapaxes", "view")
-def _k_swapaxes(srcs, out, scratch, extras):
-    return srcs[0].swapaxes(extras[0], extras[1])
-
-
-_RESHAPE_LIKE = ("reshape", "squeeze", "unsqueeze")
 
 
 # ----------------------------------------------------------------------
@@ -378,23 +132,39 @@ def _pooled(key, shape, dtype) -> np.ndarray:
     return buffer
 
 
+def _spec(array: np.ndarray) -> tuple:
+    """``(shape, dtype, layout)`` of an op output.  ``layout`` is the
+    order of its axes in memory, outermost first, or None when it is
+    C-contiguous: the arena buffer takes the eager output's layout, so
+    that a reduction or a matmul that reads it runs in the same order."""
+    layout = None
+    if not array.flags.c_contiguous:
+        layout = tuple(sorted(range(array.ndim), key=lambda axis: -array.strides[axis]))
+    return array.shape, array.dtype, layout
+
+
 def _pooled_buffers(specs, lane: int) -> list[np.ndarray]:
     taken: collections.Counter = collections.Counter()
     buffers = []
-    for shape, dtype in specs:
-        spec = (shape, dtype.str)
+    for shape, dtype, layout in specs:
+        spec = (shape, dtype.str, layout)
         # The n-th buffer of this spec in a plan.
-        buffers.append(_pooled((lane, *spec, taken[spec]), shape, dtype))
+        if layout is None:
+            buffers.append(_pooled((lane, *spec, taken[spec]), shape, dtype))
+        else:
+            memory = [shape[axis] for axis in layout]
+            buffer = _pooled((lane, *spec, taken[spec]), memory, dtype)
+            buffers.append(buffer.transpose(np.argsort(layout)))
         taken[spec] += 1
     return buffers
 
 
 def scratch_buffer(name: str, shape, dtype, lane: int = 0) -> np.ndarray:
-    """A kernel temporary, shared through this thread's pool by every
+    """A forward's temporary, shared through this thread's pool by every
     step of every plan of ``lane`` that asks for the same ``name``, size
     and dtype.
 
-    Only valid within the calling kernel's own step: steps run one at a
+    Only valid within the calling step: steps run one at a
     time on a lane, but the next step asking for the key overwrites
     it.  Keep a reference (e.g. in the step's scratch dict) so the
     buffer stays pooled.
@@ -406,7 +176,7 @@ def scratch_buffer(name: str, shape, dtype, lane: int = 0) -> np.ndarray:
 
 
 class ExecutionPlan:
-    """A compiled forward: flat kernel steps over a per-thread arena.
+    """A compiled forward: flat steps over a per-thread arena.
 
     ``replay`` returns an array owned by the arena's buffers, which
     every plan of that thread and lane shares; it is only valid until
@@ -418,7 +188,7 @@ class ExecutionPlan:
         self,
         ops: list[tuple],
         template_values: list,
-        buffer_specs: list[tuple[tuple[int, ...], np.dtype]],
+        buffer_specs: list[tuple],
         input_slots: list[int],
         input_specs: list[tuple[tuple[int, ...], np.dtype]],
         output_slot: int,
@@ -440,12 +210,13 @@ class ExecutionPlan:
 
         A source is *stable* when it is the same ndarray object on every
         replay (an arena buffer, a baked constant or a live leaf; ``ew``/
-        ``out`` kernels always return their ``out`` buffer).  View steps
+        ``out`` forwards always return their ``out`` buffer).  View steps
         over a stable source are executed once here and dropped from the
         replay entirely: a view of a fixed array is itself a fixed array,
-        only its contents change.  A reshape that silently copies is
-        detected (``shares_memory``) and kept as a live step so stale
-        contents are never frozen.
+        only its contents change.  A view op whose result is a copy (a
+        reshape that silently copies, a fancy index) is detected
+        (``shares_memory``) and kept as a live step so stale contents are
+        never frozen.
         """
         buffers = _pooled_buffers(self._buffer_specs, lane)
         input_slots = set(self._input_slots)
@@ -455,15 +226,15 @@ class ExecutionPlan:
             if value is not None and slot not in input_slots
         }
         steps = []
-        for kernel, srcs, out_slot, buf, extras, kind in self._ops:
+        for forward, srcs, out_slot, buf, extras, kind in self._ops:
             if kind == "view" and len(srcs) == 1 and srcs[0] in stable:
                 source = stable[srcs[0]]
-                view = kernel((source,), None, {}, extras)
+                view = forward(source, **extras)
                 if np.shares_memory(view, source):
                     stable[out_slot] = view
                     continue
             out_buf = None if buf is None else buffers[buf]
-            steps.append((kernel, srcs, out_slot, out_buf, extras, _Scratch(lane)))
+            steps.append((forward, srcs, out_slot, out_buf, extras, _Scratch(lane)))
             if out_buf is not None:
                 stable[out_slot] = out_buf
         return _emit_replay(steps, stable, self._input_slots, self._output_slot)
@@ -473,7 +244,7 @@ class ExecutionPlan:
         if not np.array_equal(self.replay(*arrays), expected, equal_nan=True):
             raise PlanError(
                 "compiled plan does not reproduce the traced forward "
-                "bit-for-bit; a replay kernel diverged from its eager op"
+                "bit-for-bit; a replayed op diverged from its eager run"
             )
 
     def arena(self, lane: int = 0):
@@ -484,7 +255,7 @@ class ExecutionPlan:
         on its own thread, and passes it to the replay the other thread
         runs: its buffers come from the caller's pool and heap, and no
         other caller ever replays in it.  A new arena past lane 0 is
-        replayed once here, on zeros, so that every kernel temporary is
+        replayed once here, on zeros, so that every forward's temporary is
         drawn now, on this thread, and not on the thread that replays it.
         """
         tls = self._tls
@@ -530,13 +301,11 @@ def _emit_replay(
     Each step becomes one call, so a replay runs no loop and unpacks no
     step tuples: a stable slot is read from the function's globals
     (``c<slot>``), every other slot is a local (``v<slot>``).  A ufunc
-    step runs ``ufunc(*srcs, out)``, a declared op
-    ``forward(*srcs, out=out, work=scratch, **extras)``, any other
-    kernel ``kernel(srcs, out, scratch, extras)``.  Buffers, scratch
-    dicts, extras and kernels are bound into the globals by name; no
-    value is written into the source.
+    step runs ``ufunc(*srcs, out)``, any other forward
+    ``forward(*srcs, out=out, work=scratch, **extras)``.  Buffers,
+    scratch dicts, extras and forwards are bound into the globals by
+    name; no value is written into the source.
     """
-    declared = set(FORWARDS.values())
     scope: dict = {}
 
     def operand(slot: int) -> str:
@@ -546,20 +315,17 @@ def _emit_replay(
         return f"v{slot}"
 
     lines = [f"def replay({', '.join(f'v{slot}' for slot in input_slots)}):"]
-    for i, (kernel, srcs, out_slot, out_buf, extras, scratch) in enumerate(steps):
+    for i, (forward, srcs, out_slot, out_buf, extras, scratch) in enumerate(steps):
         args = ", ".join(operand(slot) for slot in srcs)
-        scope[f"k{i}"] = kernel
+        scope[f"k{i}"] = forward
         scope[f"o{i}"] = out_buf
-        if isinstance(kernel, np.ufunc):
+        if isinstance(forward, np.ufunc):
             call = f"k{i}({args}, o{i})"
         else:
             scope[f"w{i}"] = scratch
             scope[f"e{i}"] = extras
-            if kernel in declared:
-                params = f", **e{i}" if extras else ""
-                call = f"k{i}({args}, out=o{i}, work=w{i}{params})"
-            else:
-                call = f"k{i}(({args}{',' if srcs else ''}), o{i}, w{i}, e{i})"
+            params = f", **e{i}" if extras else ""
+            call = f"k{i}({args}, out=o{i}, work=w{i}{params})"
         lines.append(f"    v{out_slot} = {call}")
     lines.append(f"    return {operand(output_slot)}")
     exec(compile("\n".join(lines), "<execution plan>", "exec"), scope)
@@ -567,16 +333,13 @@ def _emit_replay(
 
 
 def _node_kind(node: CapturedNode) -> tuple[Callable, str]:
-    entry = _KERNELS.get(node.op_name)
-    if entry is not None:
-        return entry
-    forward = FORWARDS.get(node.op_name)
-    if forward is None:
+    entry = FORWARDS.get(node.op_name)
+    if entry is None:
         raise PlanUnsupportedError(
-            f"op {node.op_name!r} has no replay kernel; the plan engine "
+            f"op {node.op_name!r} has no declared forward; the plan engine "
             f"cannot lower this forward"
         )
-    return forward, "out"
+    return entry
 
 
 def _frozen(value):
@@ -754,19 +517,19 @@ def compile_plan(
                 last_use[root[pid]] = step
     last_use[root[ref(output)]] = len(dyn_nodes)
 
-    # Buffer assignment: linear scan with shape/dtype free lists;
+    # Buffer assignment: linear scan with free lists per spec;
     # elementwise steps may steal the buffer of a source dying at that
     # step (in-place chain fusion).  Non-aliasable steps allocate first
     # and release after, so a fresh buffer never aliases a source.
-    buffer_specs: list[tuple[tuple[int, ...], np.dtype]] = []
+    buffer_specs: list[tuple] = []
     free: dict[tuple, list[int]] = {}
     buf_of_root: dict[int, int | None] = {id(t): None for t in inputs}
     ops: list[tuple] = []
     for step, node in enumerate(dyn_nodes):
         tid = id(node.tensor)
-        kernel, kind = kinds[tid]
+        forward, kind = kinds[tid]
         out_data = node.tensor.data
-        spec = (out_data.shape, out_data.dtype)
+        spec = _spec(out_data)
         dying: set[int] = set()
         for parent in node.parents:
             pid = ref(parent)
@@ -781,8 +544,7 @@ def compile_plan(
                     and root.get(pid) == pid
                     and pid != tid
                     and buf_of_root.get(pid) is not None
-                    and parent.data.shape == spec[0]
-                    and parent.data.dtype == spec[1]
+                    and _spec(parent.data) == spec
                 ):
                     buf = buf_of_root[pid]
                     dying.discard(pid)  # storage transfers to this node
@@ -806,17 +568,14 @@ def compile_plan(
                 free.setdefault(buffer_specs[released], []).append(released)
                 buf_of_root[rid] = None
 
-        extras = node.extras
-        if node.op_name in _RESHAPE_LIKE:
-            extras = out_data.shape
         srcs = tuple(slot_of[id(p)] for p in node.parents)
-        ops.append((kernel, srcs, slot_of[tid], buf, extras, kind))
+        ops.append((forward, srcs, slot_of[tid], buf, node.extras, kind))
 
     input_slots = [slot_of[id(t)] for t in inputs]
     input_specs = [(t.data.shape, t.data.dtype) for t in inputs]
     arena_bytes = sum(
         int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        for shape, dtype in buffer_specs
+        for shape, dtype, _ in buffer_specs
     )
     stats = PlanStats(
         num_captured=len(ordered),

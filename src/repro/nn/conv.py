@@ -1,9 +1,10 @@
 """1-D convolution with stride / padding / dilation (im2col based).
 
-Implemented as a fused autograd op: the forward builds sliding windows
-with numpy stride tricks and contracts them with the kernel via einsum;
-the backward scatters gradients back with ``np.add.at`` (col2im).  This is
-much faster than composing the convolution out of primitive gather ops.
+Implemented as one declared op (:func:`repro.autograd.select_ops.declare`):
+the forward builds sliding windows with numpy stride tricks and
+contracts them with the kernel via einsum; the backward scatters
+gradients back tap by tap (col2im).  This is much faster than composing
+the convolution out of primitive gather ops.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor
+from repro.autograd.select_ops import declare
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -22,6 +24,45 @@ def _conv1d_windows(
     span = (kernel_size - 1) * dilation + 1
     windows = np.lib.stride_tricks.sliding_window_view(x, span, axis=2)
     return windows[:, :, ::stride, ::dilation]
+
+
+def _conv1d(
+    x, weight, bias=None, stride=1, padding=(0, 0), dilation=1, out=None, work=None
+):
+    """The cross-correlation, from the windows of the zero-padded input;
+    saves the windows for the weight gradient."""
+    x_padded = np.pad(x, ((0, 0), (0, 0), padding))
+    windows = _conv1d_windows(x_padded, weight.shape[2], stride, dilation)
+    out = np.einsum("bclk,ock->bol", windows, weight, optimize=True)
+    if bias is not None:
+        out = out + bias[None, :, None]
+    return out if work is not None else (out, windows)
+
+
+def _conv1d_backward(
+    g, out, windows, x, weight, bias=None, *, stride, padding, dilation, needs
+):
+    grads = [None, None]
+    if needs[0]:
+        batch, c_in, length = x.shape
+        grad_padded = np.zeros((batch, c_in, length + sum(padding)), x.dtype)
+        # d/d windows = einsum('bol,ock->bclk', g, W); scatter back per tap.
+        # For a fixed tap the target positions form a non-overlapping
+        # strided slice, so direct += is safe (and much faster than add.at).
+        grad_windows = np.einsum("bol,ock->bclk", g, weight, optimize=True)
+        for tap in range(weight.shape[2]):
+            offset = tap * dilation
+            stop = offset + stride * g.shape[2]
+            grad_padded[:, :, offset:stop:stride] += grad_windows[:, :, :, tap]
+        grads[0] = grad_padded[:, :, padding[0] : padding[0] + length]
+    if needs[1]:
+        grads[1] = np.einsum("bol,bclk->ock", g, windows, optimize=True)
+    if bias is not None:
+        grads.append(g.sum(axis=(0, 2)) if needs[2] else None)
+    return grads
+
+
+_conv1d_op = declare("conv1d", _conv1d, _conv1d_backward, "fresh")
 
 
 def conv1d(
@@ -38,44 +79,15 @@ def conv1d(
     which enables causal convolutions (pad only on the left).
     """
     if isinstance(padding, int):
-        pad_left = pad_right = padding
-    else:
-        pad_left, pad_right = padding
+        padding = (padding, padding)
     batch, c_in, length = x.shape
     c_out, c_in_w, kernel_size = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input {c_in} vs weight {c_in_w}")
-    span = (kernel_size - 1) * dilation + 1
-    padded_len = length + pad_left + pad_right
-    if padded_len < span:
+    if length + sum(padding) < (kernel_size - 1) * dilation + 1:
         raise ValueError("input (with padding) shorter than kernel span")
-
-    x_padded = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right)))
-    windows = _conv1d_windows(x_padded, kernel_size, stride, dilation)
-    out_data = np.einsum("bclk,ock->bol", windows, weight.data, optimize=True)
-    if bias is not None:
-        out_data = out_data + bias.data[None, :, None]
-    l_out = out_data.shape[2]
-
-    def grad_x(g: np.ndarray) -> np.ndarray:
-        grad_padded = np.zeros_like(x_padded)
-        # d/d windows = einsum('bol,ock->bclk', g, W); scatter back per tap.
-        # For a fixed tap the target positions form a non-overlapping
-        # strided slice, so direct += is safe (and much faster than add.at).
-        grad_windows = np.einsum("bol,ock->bclk", g, weight.data, optimize=True)
-        for tap in range(kernel_size):
-            offset = tap * dilation
-            stop = offset + stride * l_out
-            grad_padded[:, :, offset:stop:stride] += grad_windows[:, :, :, tap]
-        return grad_padded[:, :, pad_left : pad_left + length]
-
-    def grad_w(g: np.ndarray) -> np.ndarray:
-        return np.einsum("bol,bclk->ock", g, windows, optimize=True)
-
-    parents = [(x, grad_x), (weight, grad_w)]
-    if bias is not None:
-        parents.append((bias, lambda g: g.sum(axis=(0, 2))))
-    return Tensor._make(out_data, parents, "conv1d")
+    tensors = (x, weight) if bias is None else (x, weight, bias)
+    return _conv1d_op(*tensors, stride=stride, padding=tuple(padding), dilation=dilation)
 
 
 class Conv1d(Module):

@@ -18,10 +18,10 @@ def _linear(x, weight, bias=None, out=None, work=None):
     out = np.matmul(x, weight.T, out)
     if bias is not None:
         np.add(out, bias, out)
-    return out if work is not None else (out, None)
+    return out
 
 
-def _linear_backward(grad, saved, x, weight, bias=None, *, needs):
+def _linear_backward(grad, out, saved, x, weight, bias=None, *, needs):
     """The gradients ``matmul(x, weight.T) + bias`` gives its inputs,
     computed as that composite computes them."""
     weight_t = weight.T

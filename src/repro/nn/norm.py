@@ -45,7 +45,7 @@ def _layer_norm(x, weight, bias, axes, eps, out=None, work=None):
     return centered if work is not None else (centered, (mu, std))
 
 
-def _layer_norm_backward(grad, saved, x, weight, bias, axes, eps, needs):
+def _layer_norm_backward(grad, out, saved, x, weight, bias, axes, eps, needs):
     """The gradients the composite graph gives ``x``, ``weight`` and
     ``bias``, with its ufuncs in its order; ``x - mean`` is recomputed.
 

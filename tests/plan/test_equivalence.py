@@ -14,9 +14,10 @@ Three layers of fuzz:
 - ragged serving batch sizes {1, 3, max_batch, 4*max_batch} against one
   shared model, exercising the per-shape plan cache;
 - hypothesis-drawn *tensor programs* through
-  :func:`repro.engine.trace_function`, covering the kernel registry
-  (elementwise chains, reductions with axis/keepdims, views, concat,
-  softmax/logsumexp) independently of the model.
+  :func:`repro.engine.trace_function`, reaching every declared op the
+  plan lowers (elementwise chains, reductions with axis/keepdims,
+  views, indexing, concat/stack/split/pad, softmax/logsumexp, conv1d)
+  independently of the model.
 
 NaN-poisoned rows ride through every layer: a NaN window must produce
 the same NaN pattern from both engines (serving's NaN-policy fallback
@@ -25,11 +26,12 @@ sits *above* ``forecast_batch`` and sees identical inputs either way).
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import autograd as ag
 from repro.engine import trace_function
+from repro.nn.conv import conv1d
 from repro.serving import ServingConfig
 
 from .conftest import build_plan_model, make_windows
@@ -136,10 +138,11 @@ def test_soft_assignment_and_deep_layers_bitwise():
 
 
 # ----------------------------------------------------------------------
-# Kernel-level fuzz via trace_function
+# Op-level fuzz via trace_function
 # ----------------------------------------------------------------------
 def _programs():
-    """Representative tensor programs spanning the kernel registry."""
+    """Tensor programs that reach every op the plan lowers."""
+    kernel = ag.Tensor(np.linspace(-1.0, 1.0, 6).reshape(3, 1, 2))
     return {
         "elementwise_chain": lambda x, y: ag.tanh(x * 2.0 + y) / (ag.abs(y) + 1.5),
         "activations": lambda x, y: ag.gelu(x) + ag.silu(y) + ag.softplus(x - y),
@@ -153,9 +156,43 @@ def _programs():
         "matmul_mix": lambda x, y: ag.matmul(x, y.transpose()) + (x * x).sum(),
         "variance": lambda x, y: ((x - x.mean(axis=1, keepdims=True)) ** 2).mean(axis=1)
         + ag.sqrt(ag.maximum(y, 0.0)).sum(axis=1),
+        "rectifiers": lambda x, y: ag.relu(x - y) + ag.leaky_relu(y, 0.2)
+        + ag.clip(x, -0.5, 0.7),
+        "tensor_power": lambda x, y: ag.abs(x) ** y,
+        "outer": lambda x, y: ag.outer(x.flatten(), y.sum(axis=0)),
+        "minima": lambda x, y: ag.min(x, axis=0) + ag.minimum(x, y).sum(axis=0)
+        + ag.logsumexp(y, axis=0),
+        "logsumexp_keepdims": lambda x, y: ag.logsumexp(x * y, axis=1, keepdims=True) - x,
+        "repeat_stack": lambda x, y: ag.stack(
+            [ag.repeat(x, 2, axis=1), ag.repeat(y, 2, axis=1)], axis=-1
+        ).sum(axis=-1),
+        "gather": lambda x, y: ag.gather(x, [0, -1, 0], axis=0).sum(axis=0)
+        * ag.gather(y, [-1], axis=1).sum(axis=0),
+        "getitem_basic": lambda x, y: x[:, ::2] + y[-1, ::2] + x[0, 0],
+        "getitem_fancy": lambda x, y: x[[0, -1, 0]] * y[np.array([-1, 0, 0])],
+        "broadcast_to": lambda x, y: ag.broadcast_to(x, (2,) + x.shape) + y,
+        "squeeze_unsqueeze": lambda x, y: ag.unsqueeze(x, -1) * ag.unsqueeze(y, 1)
+        + x.unsqueeze(0).squeeze(0).unsqueeze(-1),
+        "swapaxes": lambda x, y: ag.matmul(x.swapaxes(0, 1), y),
+        "trigonometry": lambda x, y: ag.sin(x) * ag.cos(y) + ag.log(ag.abs(y) + 1.0),
+        "sigmoid_erf_neg": lambda x, y: -ag.sigmoid(x) + ag.erf(-y),
+        "where": lambda x, y: ag.where(ag.relu(x - y), x, y * 2.0),
+        "split": lambda x, y: ag.split(ag.concat([x, y], axis=1), 2, axis=1)[0]
+        / (ag.split(ag.concat([y, x], axis=0), 2, axis=0)[1] + 3.0),
+        "pad": lambda x, y: ag.pad(x, ((1, 0), (0, 2))) + ag.pad(y, 1).sum(),
+        "conv1d": lambda x, y: conv1d(x.reshape(1, 1, -1), kernel, padding=1) + y.sum(),
     }
 
 
+def _every_program(test):
+    """An explicit, NaN-poisoned example of each program, on top of the
+    drawn ones, so every lowered op replays at least once."""
+    for name in sorted(_programs()):
+        test = example(name=name, rows=3, cols=4, seed=5, poison=True)(test)
+    return test
+
+
+@_every_program
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(sorted(_programs())),
