@@ -47,10 +47,6 @@ def _pow_backward(g, out, saved, base, expo, needs):
     )
 
 
-def _pow_const(x, exponent, out=None, work=None):
-    return x**exponent
-
-
 def _pow_const_backward(g, out, saved, x, exponent, needs):
     return (g * exponent * x ** (exponent - 1),)
 
@@ -61,7 +57,7 @@ mul = declare("mul", np.multiply, _mul_backward, "ew")
 div = declare("div", np.true_divide, _div_backward, "ew")
 neg = declare("neg", np.negative, lambda g, out, saved, x, needs: (-g,), "ew")
 pow = declare("pow", _pow, _pow_backward, "fresh")  # noqa: A001
-pow_const = declare("pow_const", _pow_const, _pow_const_backward, "fresh")
+pow_const = declare("pow_const", _pow, _pow_const_backward, "fresh")
 
 exp = declare("exp", np.exp, lambda g, out, saved, x, needs: (g * out,), "ew")
 log = declare("log", np.log, lambda g, out, saved, x, needs: (g / x,), "ew")

@@ -112,6 +112,7 @@ class PlanStats:
     num_merged: int  # dynamic ops merged into an equal earlier one
     num_buffers: int  # arena buffers allocated per thread
     arena_bytes: int  # bytes per per-thread arena
+    num_in_place: int  # steps that write over a source dying at that step
 
 
 # A thread runs one replay per lane at a time and arena buffers are only
@@ -525,6 +526,7 @@ def compile_plan(
     free: dict[tuple, list[int]] = {}
     buf_of_root: dict[int, int | None] = {id(t): None for t in inputs}
     ops: list[tuple] = []
+    num_in_place = 0
     for step, node in enumerate(dyn_nodes):
         tid = id(node.tensor)
         forward, kind = kinds[tid]
@@ -548,6 +550,7 @@ def compile_plan(
                 ):
                     buf = buf_of_root[pid]
                     dying.discard(pid)  # storage transfers to this node
+                    num_in_place += 1
                     break
         if buf is None and kind in ("ew", "out"):
             stash = free.get(spec)
@@ -584,6 +587,7 @@ def compile_plan(
         num_merged=len(merged),
         num_buffers=len(buffer_specs),
         arena_bytes=arena_bytes,
+        num_in_place=num_in_place,
     )
     plan = ExecutionPlan(
         ops,

@@ -3,8 +3,9 @@
 Every op of the FOCUS forward is declared once
 (:func:`repro.autograd.select_ops.declare`) together with where a plan
 may put its output.  These counts move if a declared op stops writing
-in place over a dying input (more buffers), gains an arena buffer it
-never writes, or stops merging with an equal op.
+in place over a dying input (fewer in-place steps, and often more
+buffers), gains an arena buffer it never writes, or stops merging with
+an equal op.
 """
 
 import numpy as np
@@ -34,3 +35,4 @@ def test_focus_plan_shape_at_the_benchmark_config(batch, arena_bytes):
     stats = model.plan_stats()
     assert (stats.num_ops, stats.num_merged, stats.num_buffers) == (91, 4, 26)
     assert stats.arena_bytes == arena_bytes
+    assert stats.num_in_place == 33
