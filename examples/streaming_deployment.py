@@ -1,16 +1,22 @@
-"""Deployment-style streaming forecasting with prototype adaptation.
+"""Deployment-style streaming forecasting with prototype maintenance.
 
-Trains FOCUS on the Weather surrogate, then replays the test split one
-observation at a time through :class:`StreamingFOCUS` — forecasting every
-hour and letting the prototype dictionary adapt when genuinely novel
-segment shapes arrive (an extension of the paper's online phase for
-long-running deployments).
+Trains FOCUS on the Weather surrogate, then replays the validation and
+test splits one observation at a time through a :class:`ForecastServer`,
+forecasting every 24 steps.  After them the stream changes regime: it
+plays the training series four times faster, so the segment shapes the
+offline prototype bank was fitted on stop describing it.  A
+:class:`MaintenanceWorker` attached to the server watches the
+prototype-assignment drift, raises an alarm, and repairs or refits the
+bank behind a shadow-scoring gate, with no serving downtime.  The worker
+is stepped with ``tick()`` once per stream step, so alarm, refit and
+swap land at the same steps on every run.
 
 With ``--telemetry-dir DIR`` the whole pipeline shares one telemetry
-stack (docs/observability.md): the trainer and the stream write JSONL
-events to ``DIR/events.jsonl``, metrics (forecast latency, prototype
-utilization, assignment drift, health) land in ``DIR/metrics.prom``,
-and ``python -m repro monitor DIR`` renders the result.
+stack (docs/observability.md): the trainer, the server and the worker
+write JSONL events to ``DIR/events.jsonl``, metrics (batch latency,
+forecast sources, assignment drift, maintenance jobs, health) land in
+``DIR/metrics.prom``, and ``python -m repro monitor DIR`` renders the
+result.
 
 Run:  python examples/streaming_deployment.py [--telemetry-dir DIR] [--epochs N]
 """
@@ -20,17 +26,14 @@ import argparse
 import numpy as np
 
 from repro.core import FOCUSConfig, FOCUSForecaster
-from repro.core.streaming import StreamingFOCUS
 from repro.data import load_dataset
-from repro.telemetry import (
-    DriftConfig,
-    MetricsRegistry,
-    RunLogger,
-    write_prometheus,
-)
+from repro.maintenance import MaintenanceConfig, MaintenanceWorker
+from repro.serving import ForecastServer
+from repro.telemetry import DriftConfig, MetricsRegistry, RunLogger, write_prometheus
 from repro.training import Trainer, TrainerConfig
 
 LOOKBACK, HORIZON = 96, 24
+ENTITY = "weather-station"
 
 
 def main(argv=None):
@@ -67,33 +70,50 @@ def main(argv=None):
         data.windows("val", LOOKBACK, HORIZON),
     )
 
-    stream = StreamingFOCUS(
-        model, adapt_prototypes=True, novelty_threshold=4.0, ema=0.05,
-        telemetry=registry,
-        drift=DriftConfig() if registry is not None else None,
-        run_logger=logger,
+    server = ForecastServer(model, telemetry=registry, run_logger=logger)
+    # One entity yields one drift profile per ``drift_every`` rows, so a
+    # 16-profile window already spans 128 steps.
+    maintenance = MaintenanceConfig(
+        drift=DriftConfig(
+            window=16, baseline_forecasts=24, threshold=0.25,
+            alarm_streak=2, min_segments=16,
+        )
     )
-    print("replaying the test split through the stream ...")
-    errors = []
-    test = data.test
-    for t in range(test.shape[0] - HORIZON):
-        stream.observe(test[t])
-        # Forecast once per 24 steps after warm-up, score against truth.
-        if stream.ready and t % 24 == 0 and t + HORIZON < test.shape[0]:
-            forecast = stream.forecast()
-            truth = test[t + 1 : t + 1 + HORIZON]
-            errors.append(float(((forecast - truth) ** 2).mean()))
+    worker = MaintenanceWorker(
+        model, maintenance, registry=registry, run_logger=logger
+    )
+    server.attach_maintenance(worker)
 
-    stats = stream.stats
-    print(f"\nstreamed {stats.observations} observations, "
-          f"made {stats.forecasts} forecasts")
-    print(f"novel segments seen: {stats.novel_segments}, "
-          f"prototype EMA updates: {stats.prototype_updates}")
-    print(f"streaming forecast MSE: {np.mean(errors):.4f} "
-          f"(first half {np.mean(errors[: len(errors) // 2]):.4f}, "
-          f"second half {np.mean(errors[len(errors) // 2 :]):.4f})")
+    calm = np.concatenate([data.val, data.test])
+    shifted = data.train[::4]
+    stream = np.concatenate([calm, shifted])
+    print(f"replaying {len(calm)} calm + {len(shifted)} shifted steps ...")
+    errors = {"calm": [], "shifted": []}
+    for t in range(len(stream) - HORIZON):
+        server.observe(ENTITY, stream[t])
+        job = worker.tick()
+        if job is not None:
+            print(f"  step {t}: drift alarm -> maintenance job {job['status']}"
+                  + (f" ({job['mode']})" if "mode" in job else ""))
+        if t % 24 == 0 and server.ready([ENTITY]):
+            forecast = server.forecast(ENTITY).forecast
+            truth = stream[t + 1 : t + 1 + HORIZON]
+            regime = "calm" if t + HORIZON < len(calm) else "shifted"
+            errors[regime].append(float(((forecast - truth) ** 2).mean()))
+
+    stats = server.stats()
+    upkeep = worker.stats()
+    print(f"\nserved {stats['observations']} observations, "
+          f"made {stats['forecasts']} forecasts (health {stats['health']})")
+    print(f"drift alarms: {upkeep['drift_alarms']}, "
+          f"jobs: {upkeep['jobs_started']}, "
+          f"swaps: {upkeep['jobs_swapped']}, "
+          f"rejected: {upkeep['jobs_rejected']}, "
+          f"rollbacks: {upkeep['rollbacks']}")
+    print("forecast MSE: "
+          + ", ".join(f"{regime} {np.mean(values):.4f}"
+                      for regime, values in errors.items() if values))
     if args.telemetry_dir:
-        stream.emit_stats()
         write_prometheus(registry, args.telemetry_dir)
         logger.close()
         print(f"telemetry written to {args.telemetry_dir} "

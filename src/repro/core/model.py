@@ -224,7 +224,7 @@ class FOCUSForecaster(Module):
         """A copy of the ``(k, p)`` prototype dictionary, or ``None`` when
         the active mixer is prototype-free (``"attn"`` / ``"linear"``).
 
-        Used by streaming guardrails for prototype-mean imputation.
+        Used by the serving ingest guard for prototype-mean imputation.
         Always a defensive copy — mutating the result must not corrupt
         the live dictionary shared by both mixers.
         """
@@ -296,8 +296,9 @@ class FOCUSForecaster(Module):
     def update_prototype(self, index: int, value: np.ndarray) -> None:
         """Overwrite one prototype row in place (both mixers stay in sync).
 
-        Used by streaming adaptation: updating a single row avoids
-        rebuilding the full ``(k, p)`` dictionary per novel segment.
+        A one-row edit of the bank: it bumps ``prototype_version``
+        like :meth:`set_prototypes` without rebuilding the full
+        ``(k, p)`` dictionary.
         """
         # Snapshot the value first: ``value`` may be a view into one
         # mixer's live dictionary, and writing the first mixer's row

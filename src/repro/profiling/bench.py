@@ -10,8 +10,8 @@ so every future change has a performance trajectory to compare against:
    of 12 ragged segment sets fitted by sequential ``fit`` calls against
    one batched ``fit_many`` pass, with a ``bitwise`` flag that every
    bank, loss history and iteration count matches.
-2. **Streaming throughput** — ring-buffer ``observe`` steps/second and
-   end-to-end ``forecast`` latency.
+2. **Streaming throughput** — one entity through ``ForecastServer``:
+   ``observe`` steps/second and end-to-end ``forecast`` latency.
 3. **Training step** — one full fwd+MSE+bwd+clip+AdamW step on a pinned
    FOCUS model, float64 vs float32 latency plus the per-step engine
    allocation count with in-place vs legacy gradient accumulation.
@@ -21,7 +21,7 @@ so every future change has a performance trajectory to compare against:
    gate CI asserts), and with metrics *enabled*; plus the JSONL run-log
    writer's events/second.
 5. **Serving** (schema 4) — micro-batched forecasting through the
-   serving stack vs the sequential per-entity streaming loop: p50/p99
+   serving stack vs one eager forward per entity: p50/p99
    latency and throughput at batch sizes 1/8/32 with the cache off,
    the same batched path with the cache on (hit serving), and the
    ``speedup_batch32`` ratio CI gates at >=1.5x.
@@ -264,9 +264,10 @@ def bench_phase_sweep(quick: bool = False) -> dict:
 
 
 def bench_streaming(quick: bool = False) -> dict:
-    """Ring-buffer observe throughput and forecast latency."""
+    """One entity through :class:`~repro.serving.ForecastServer`: observe
+    throughput and forecast latency, cache off."""
     from repro.core.model import FOCUSConfig, FOCUSForecaster
-    from repro.core.streaming import StreamingFOCUS
+    from repro.serving import ForecastServer, ServingConfig
 
     dims = _STREAM_QUICK if quick else _STREAM_FULL
     rng = np.random.default_rng(11)
@@ -285,17 +286,18 @@ def bench_streaming(quick: bool = False) -> dict:
             (dims["num_prototypes"], dims["segment_length"])
         ),
     )
-    stream = StreamingFOCUS(model, adapt_prototypes=True)
+    server = ForecastServer(model, ServingConfig(use_cache=False))
     rows = rng.standard_normal((dims["steps"], dims["entities"]))
 
     started = time.perf_counter()
     for row in rows:
-        stream.observe(row)
+        server.observe("stream", row)
     observe_s = time.perf_counter() - started
 
+    server.forecast("stream")  # traces the B=1 plan; not timed
     started = time.perf_counter()
     for _ in range(dims["forecasts"]):
-        stream.forecast()
+        server.forecast("stream")
     forecast_ms = (time.perf_counter() - started) / dims["forecasts"] * 1e3
 
     return {
@@ -565,19 +567,18 @@ def bench_telemetry(quick: bool = False) -> dict:
 
 
 def bench_serving(quick: bool = False) -> dict:
-    """Batched serving vs the sequential streaming loop on one fleet.
+    """Batched serving vs one eager forward per entity on one fleet.
 
     A shared pinned FOCUS model serves a fleet of warmed entities.  The
-    *sequential* baseline answers each entity with its own
-    ``StreamingFOCUS.forecast()`` call (one forward per entity, exactly
-    the pre-serving deployment story); the *batched* path answers the
+    *sequential* baseline answers each entity with its own eager
+    ``model(Tensor(window[None]))`` forward on a fresh window copy (no
+    batching, no plan); the *batched* path answers the
     same requests through ``MicroBatcher`` in groups of 1/8/32 windows
     per forward, cache disabled so every request pays the model.  A
     final pass measures cache-on hit serving.  ``speedup_batch32``
     (batched throughput at 32 / sequential throughput) is the CI gate.
     """
     from repro.core.model import FOCUSConfig, FOCUSForecaster
-    from repro.core.streaming import StreamingFOCUS
     from repro.serving import ForecastCache, ForecastServer, MicroBatcher, ServingConfig
 
     dims = _SERVE_QUICK if quick else _SERVE_FULL
@@ -600,17 +601,19 @@ def bench_serving(quick: bool = False) -> dict:
     model.eval()
     fleet = dims["fleet"]
 
-    # Sequential baseline: one StreamingFOCUS per entity, warmed.
-    streams = []
     server = ForecastServer(model, ServingConfig(max_batch=max(dims["batch_sizes"]),
                                                  use_cache=False))
     for index in range(fleet):
         history = rng.standard_normal((dims["lookback"], dims["entities"]))
-        stream = StreamingFOCUS(model)
-        stream.observe_many(history)
-        streams.append(stream)
         server.observe_many(f"bench-{index}", history)
     entity_ids = [f"bench-{index}" for index in range(fleet)]
+    rings = [server.store.session(entity_id).ring for entity_id in entity_ids]
+
+    def sequential_round() -> None:
+        # Sequential baseline: one eager forward per warmed entity.
+        with ag.no_grad():
+            for ring in rings:
+                model(Tensor(ring.window()[None])).data[0].astype(np.float64)
 
     def percentiles(samples: list[float]) -> tuple[float, float]:
         return (
@@ -619,13 +622,11 @@ def bench_serving(quick: bool = False) -> dict:
         )
 
     for _ in range(dims["warmup"]):
-        for stream in streams:
-            stream.forecast()
+        sequential_round()
     sequential_times = []
     for _ in range(dims["rounds"]):
         started = time.perf_counter()
-        for stream in streams:
-            stream.forecast()
+        sequential_round()
         sequential_times.append(time.perf_counter() - started)
     seq_p50, seq_p99 = percentiles(sequential_times)
     seq_throughput = fleet / float(np.median(sequential_times))

@@ -68,9 +68,11 @@ class ChaosModel(Module):
 
     Delegates every attribute it does not define to the wrapped model
     (``config``, ``update_prototype``, …), so it can stand in wherever
-    the real model is expected — e.g. inside
-    :class:`~repro.core.streaming.StreamingFOCUS` or a
-    :class:`~repro.training.Trainer`.
+    the real model is expected — e.g. inside a
+    :class:`~repro.serving.ForecastServer` or a
+    :class:`~repro.training.Trainer`.  :meth:`forward` and the serving
+    path's :meth:`forecast_batch` share one fault schedule, one call
+    each.
     """
 
     def __init__(self, model: Module, spec: ChaosSpec):
@@ -93,6 +95,15 @@ class ChaosModel(Module):
         return getattr(inner, name)
 
     def forward(self, *args, **kwargs):
+        return self._inject(lambda: self.inner(*args, **kwargs))
+
+    def forecast_batch(self, windows: np.ndarray, engine: str = "eager") -> np.ndarray:
+        """The serving path's batched forward, one scheduled call per
+        batch (delegating it unwrapped would bypass every fault)."""
+        return self._inject(lambda: self.inner.forecast_batch(windows, engine=engine))
+
+    def _inject(self, run):
+        """Count one call and run ``run`` under the fault schedule."""
         self.calls += 1
         call = self.calls
         spec = self.spec
@@ -110,11 +121,13 @@ class ChaosModel(Module):
             self.injected_failures += 1
             self.injection_log.append((call, "fail"))
             raise ChaosError(f"injected failure on call {call}")
-        out = self.inner(*args, **kwargs)
+        out = run()
         if spec.fires(spec.nan_every, call):
             self.injected_nans += 1
             self.injection_log.append((call, "nan"))
-            return Tensor(np.full_like(np.asarray(out.data), np.nan))
+            if isinstance(out, Tensor):
+                return Tensor(np.full_like(np.asarray(out.data), np.nan))
+            return np.full_like(out, np.nan)
         if spec.fires(spec.spike_every, call):
             self.injected_spikes += 1
             self.injection_log.append((call, "spike"))

@@ -1,6 +1,7 @@
 """Serving-path health tracking and input guardrails.
 
-Two pieces used by :class:`repro.core.streaming.StreamingFOCUS`:
+The pieces behind :class:`~repro.serving.ForecastServer` and
+:class:`~repro.serving.ShardRouter`:
 
 - :class:`HealthMonitor` — a three-state machine
   (``HEALTHY → DEGRADED → FAILED``) driven by per-forecast outcomes.
@@ -9,6 +10,8 @@ Two pieces used by :class:`repro.core.streaming.StreamingFOCUS`:
   climbs back one rung at a time (``FAILED → DEGRADED`` on the first
   success, ``DEGRADED → HEALTHY`` after ``recover_after`` consecutive
   successes).
+- :func:`health_reporter` — the ``on_transition`` callback that mirrors
+  every state change into metrics and ``health_transition`` events.
 - :func:`apply_nan_policy` — the ingestion guard that decides what to
   do with non-finite observations before they reach the ring buffer.
 """
@@ -29,6 +32,47 @@ class HealthState(str, enum.Enum):
     HEALTHY = "HEALTHY"
     DEGRADED = "DEGRADED"
     FAILED = "FAILED"
+
+
+# Numeric level of each state, for the ``serve_health_state`` gauge.
+HEALTH_LEVELS = {
+    HealthState.HEALTHY.value: 0,
+    HealthState.DEGRADED.value: 1,
+    HealthState.FAILED.value: 2,
+}
+
+
+def health_reporter(telemetry=None, run_logger=None):
+    """A :class:`HealthMonitor` ``on_transition`` callback reporting each
+    state change, or None when there is nowhere to report to.
+
+    Every transition bumps ``serve_health_transitions_total{to=...}``,
+    sets the ``serve_health_state`` gauge (registered up front, so it
+    reads 0 before the first change) and writes one ``health_transition``
+    run-log event.
+    """
+    if telemetry is None and run_logger is None:
+        return None
+    gauge = (
+        telemetry.gauge("serve_health_state", help="0=HEALTHY 1=DEGRADED 2=FAILED")
+        if telemetry is not None
+        else None
+    )
+
+    def report(src: str, dst: str, reason: str, tick: int) -> None:
+        if telemetry is not None:
+            telemetry.counter(
+                "serve_health_transitions_total", labels={"to": dst},
+                help="serving-health state changes",
+            ).inc()
+            gauge.set(HEALTH_LEVELS[dst])
+        if run_logger is not None:
+            run_logger.event(
+                "health_transition",
+                **{"from": src, "to": dst, "reason": reason, "tick": tick},
+            )
+
+    return report
 
 
 class HealthMonitor:

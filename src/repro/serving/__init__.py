@@ -6,9 +6,9 @@ Layered bottom-up:
   buffers, NaN-policy guards, locks, and optional replayable journals;
 - :class:`ForecastCache` — versioned LRU of one slot per entity
   (its newest ``(ring version, horizon)`` forecast), invalidated by
-  prototype EMA updates;
+  prototype swaps;
 - :class:`MicroBatcher` — coalesces requests into one batched forward
-  (bit-identical per sample to sequential streaming in float64);
+  (bit-identical per sample to one eager forward in float64);
 - :class:`ForecastServer` / :class:`ServingConfig` — bounded queue,
   background batching worker, admission control, health + telemetry;
 - :class:`ShardRouter` / :class:`FleetConfig` — multi-process scale-out:

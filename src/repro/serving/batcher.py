@@ -6,9 +6,9 @@ assignment GEMM setup — once per *call*.  Batching ``B`` windows into a
 single ``(B, L, N)`` forward (``FOCUSForecaster.forecast_batch``)
 amortizes all of it, and because every per-sample computation in the
 network is independent across the batch axis, each row of the batched
-result is **bit-identical** (float64) to the sequential
-:meth:`StreamingFOCUS.forecast <repro.core.streaming.StreamingFOCUS>`
-answer for the same window — the property ``tests/serving`` pins.
+result is **bit-identical** (float64) to one eager
+``model(Tensor(window[None]))`` forward of the same window — the
+property ``tests/serving`` pins.
 
 Execution of one batch:
 
@@ -20,7 +20,7 @@ Execution of one batch:
    batch, stack the rest, and run one gradient-free batched forward;
 4. per-sample finite checks: a non-finite row (or a raised forward,
    which fails the whole batch) answers from the model-free fallback
-   instead, exactly like the single-entity streaming path;
+   instead;
 5. fill the cache, bump per-entity stats, record health outcomes, and
    emit batch-size/latency telemetry plus a ``serve_batch`` run event.
 """
@@ -150,7 +150,7 @@ class MicroBatcher:
         """Snapshot and answer one forecast request per session.
 
         Raises ``RuntimeError`` if any session lacks a full lookback
-        window (mirroring ``StreamingFOCUS.forecast``).
+        window.
 
         ``contexts`` maps entity ids to their
         :class:`~repro.telemetry.RequestContext` (stamped onto the

@@ -2,14 +2,14 @@
 
 A slot holds ``(ring version, horizon, prototype version, forecast)``.
 The ring version advances once per accepted observation
-(:class:`~repro.core.streaming.ObservationRing`) and a lookup always
+(:class:`~repro.serving.session.ObservationRing`) and a lookup always
 asks for the entity's *current* version, so only an entity's newest
 forecast can ever be served.  A put replaces the entity's slot, never
 with an older ring version than the one it holds; a lookup hits only on
 an exact match of version, horizon and prototype version.  The cache
 holds ``min(entities, capacity)`` forecasts, never superseded ones.
 
-The prototype version catches adaptation: an EMA nudge
+The prototype version catches adaptation: a bank swap or a one-row edit
 (:meth:`~repro.core.model.FOCUSForecaster.update_prototype`) changes the
 forecast for an *unchanged* window, so a lookup whose prototype version
 disagrees evicts the slot and reports a miss.  Values are copied on both

@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.core.model import FOCUSForecaster
 from repro.engine.lanes import use_single_lane
-from repro.robustness.health import NAN_POLICIES, HealthMonitor
+from repro.robustness.health import NAN_POLICIES, HealthMonitor, health_reporter
 from repro.serving.batcher import ForecastResponse
 from repro.serving.server import ForecastServer, ServingConfig, replay_streams
 from repro.telemetry.aggregate import FleetAggregator, registry_snapshot
@@ -657,17 +657,10 @@ class ShardRouter:
                 "epoch": telemetry.gauge(
                     "serve_fleet_prototype_epoch", help="advertised prototype epoch"
                 ),
-                "health": telemetry.gauge(
-                    "serve_health_state", help="0=HEALTHY 1=DEGRADED 2=FAILED"
-                ),
             }
         # Observability plane: fleet-level health (worker deaths, SLO
         # budget burn), merged per-shard metrics, cross-process traces.
-        self.health = HealthMonitor(
-            on_transition=self._on_health_transition
-            if (telemetry is not None or run_logger is not None)
-            else None,
-        )
+        self.health = HealthMonitor(on_transition=health_reporter(telemetry, run_logger))
         self.aggregator = FleetAggregator()
         self.trace_buffer = (
             TraceBuffer(self.config.trace_keep) if self.config.trace else None
@@ -799,21 +792,6 @@ class ShardRouter:
             self._run_logger.event("fleet_worker_dead", shard=shard)
         self.health.record_failure(f"shard {shard} worker died")
 
-    def _on_health_transition(self, src: str, dst: str, reason: str, tick: int) -> None:
-        if self._telemetry is not None:
-            self._telemetry.counter(
-                "serve_health_transitions_total", labels={"to": dst},
-                help="serving-health state changes",
-            ).inc()
-            self._instruments["health"].set(
-                ForecastServer._HEALTH_LEVELS[dst]
-            )
-        if self._run_logger is not None:
-            self._run_logger.event(
-                "health_transition",
-                **{"from": src, "to": dst, "reason": reason, "tick": tick},
-            )
-
     def alive_shards(self) -> set[int]:
         with self._alive_lock:
             return set(self._alive)
@@ -928,7 +906,7 @@ class ShardRouter:
         """Route ``rows[i]`` to ``entity_ids[i]``'s owning shard: one
         ingest step, one RPC per owning shard (each shard's
         :meth:`ForecastServer.observe_rows`), one maintenance tap.
-        Returns one :class:`~repro.core.streaming.IngestResult` per row."""
+        Returns one :class:`~repro.serving.session.IngestResult` per row."""
         self._require_started()
         entity_ids = list(entity_ids)
         block = np.asarray(rows, dtype=np.float64)

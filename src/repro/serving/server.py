@@ -14,7 +14,7 @@ Ties the serving subsystem together in front of one trained
   instead of latency or memory;
 - a versioned :class:`~repro.serving.ForecastCache`, one slot per
   entity (``cache_capacity`` bounds entities), invalidated by
-  prototype EMA updates via the model's ``prototype_version``;
+  prototype swaps via the model's ``prototype_version``;
 - a serving-level :class:`~repro.robustness.health.HealthMonitor`, a
   :class:`~repro.telemetry.MetricsRegistry` (queue-depth gauge,
   batch-size/latency histograms, per-source forecast counters, cache
@@ -40,11 +40,10 @@ from collections import deque
 import numpy as np
 
 from repro.core.model import FOCUSForecaster
-from repro.core.streaming import IngestResult
-from repro.robustness.health import NAN_POLICIES, HealthMonitor, HealthState
+from repro.robustness.health import NAN_POLICIES, HealthMonitor, health_reporter
 from repro.serving.batcher import ForecastResponse, MicroBatcher
 from repro.serving.cache import ForecastCache
-from repro.serving.session import EntitySessionStore
+from repro.serving.session import EntitySessionStore, IngestResult
 from repro.telemetry.context import (
     RequestTrace,
     TraceBuffer,
@@ -122,12 +121,6 @@ class _QueuedRequest:
 class ForecastServer:
     """Thread-safe multi-entity serving front-end over one FOCUS model."""
 
-    _HEALTH_LEVELS = {
-        HealthState.HEALTHY.value: 0,
-        HealthState.DEGRADED.value: 1,
-        HealthState.FAILED.value: 2,
-    }
-
     def __init__(
         self,
         model: FOCUSForecaster,
@@ -138,7 +131,6 @@ class ForecastServer:
         self.model = model
         self.model.eval()
         self.config = config or ServingConfig()
-        self._telemetry = telemetry
         self._run_logger = run_logger
         self.store = EntitySessionStore.for_model(
             model,
@@ -151,9 +143,7 @@ class ForecastServer:
         self.health = HealthMonitor(
             fail_threshold=self.config.fail_threshold,
             recover_after=self.config.recover_after,
-            on_transition=self._on_health_transition
-            if (telemetry is not None or run_logger is not None)
-            else None,
+            on_transition=health_reporter(telemetry, run_logger),
         )
         self.batcher = MicroBatcher(
             model,
@@ -197,9 +187,6 @@ class ForecastServer:
                 "rejected": telemetry.counter(
                     "serve_forecasts_total", labels={"source": "rejected"},
                     help="requests shed by admission control",
-                ),
-                "health": telemetry.gauge(
-                    "serve_health_state", help="0=HEALTHY 1=DEGRADED 2=FAILED"
                 ),
             }
 
@@ -260,7 +247,7 @@ class ForecastServer:
         is written under its own session lock, and an attached
         maintenance worker is tapped once
         (:meth:`~repro.maintenance.MaintenanceWorker.record_many`).
-        Returns one :class:`~repro.core.streaming.IngestResult` per row.
+        Returns one :class:`~repro.serving.session.IngestResult` per row.
         Equivalent to one :meth:`observe` per row in the given order.
         """
         entity_ids = list(entity_ids)
@@ -608,19 +595,6 @@ class ForecastServer:
                         return
                 continue
             self._serve_batch(batch)
-
-    def _on_health_transition(self, src: str, dst: str, reason: str, tick: int) -> None:
-        if self._telemetry is not None:
-            self._telemetry.counter(
-                "serve_health_transitions_total", labels={"to": dst},
-                help="serving-health state changes",
-            ).inc()
-            self._instruments["health"].set(self._HEALTH_LEVELS[dst])
-        if self._run_logger is not None:
-            self._run_logger.event(
-                "health_transition",
-                **{"from": src, "to": dst, "reason": reason, "tick": tick},
-            )
 
     # ------------------------------------------------------------------
     # Introspection

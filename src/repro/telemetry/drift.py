@@ -20,10 +20,9 @@ Per forecast it records
   or set explicitly from the offline fit via :meth:`set_baseline`).
 
 When drift stays above ``threshold`` for ``alarm_streak`` consecutive
-forecasts the monitor fires its alarm callback — wired by
-:class:`~repro.core.streaming.StreamingFOCUS` into the
-:class:`~repro.robustness.health.HealthMonitor`, so a stale prototype
-bank degrades serving health *before* forecast error craters.
+forecasts the monitor fires its alarm — which the
+:class:`~repro.maintenance.MaintenanceWorker` turns into a repair job,
+so a stale prototype bank is refitted *before* forecast error craters.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""Streaming guardrails: NaN policies, health machine, degraded forecasts."""
+"""Serving guardrails: NaN policies at ingest, the health machine, and
+degraded forecasts through :class:`~repro.serving.ForecastServer`."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import FOCUSConfig, FOCUSForecaster
-from repro.core.streaming import ObservationRing, StreamingFOCUS
 from repro.robustness import (
-    ChaosError,
     ChaosModel,
     ChaosSpec,
     HealthMonitor,
@@ -15,8 +16,11 @@ from repro.robustness import (
     persistence_forecast,
     seasonal_naive_forecast,
 )
+from repro.serving import EntitySession, EntitySessionStore, ForecastServer, ServingConfig
+from repro.serving.session import ObservationRing
 
 LOOKBACK, HORIZON, ENTITIES = 24, 6, 3
+ENTITY = "stream"
 
 
 def make_model(rng, k=4, p=6):
@@ -27,55 +31,74 @@ def make_model(rng, k=4, p=6):
     return FOCUSForecaster(config, prototypes=rng.standard_normal((k, p)))
 
 
+def make_session(nan_policy):
+    return EntitySession(ENTITY, LOOKBACK, ENTITIES, nan_policy=nan_policy)
+
+
 class TestNanPolicies:
     def test_reject_drops_bad_rows(self, rng):
-        stream = StreamingFOCUS(make_model(rng), nan_policy="reject")
-        stream.observe_many(rng.standard_normal((LOOKBACK, ENTITIES)))
-        window_before = stream._buffer
+        session = make_session("reject")
+        session.observe_many(rng.standard_normal((LOOKBACK, ENTITIES)))
+        window_before = session.ring.window()
         bad = rng.standard_normal(ENTITIES)
         bad[1] = np.nan
-        stream.observe(bad)
-        assert stream.stats.rejected_observations == 1
-        assert stream.stats.observations == LOOKBACK
-        assert np.array_equal(stream._buffer, window_before)
+        session.observe(bad)
+        assert session.stats.rejected_observations == 1
+        assert session.stats.observations == LOOKBACK
+        assert np.array_equal(session.ring.window(), window_before)
 
     def test_reject_filters_rows_inside_block(self, rng):
-        stream = StreamingFOCUS(make_model(rng), nan_policy="reject")
+        session = make_session("reject")
         block = rng.standard_normal((10, ENTITIES))
         block[3, 0] = np.inf
         block[7, 2] = np.nan
-        stream.observe_many(block)
-        assert stream.stats.observations == 8
-        assert stream.stats.rejected_observations == 2
+        session.observe_many(block)
+        assert session.stats.observations == 8
+        assert session.stats.rejected_observations == 2
         clean = block[np.isfinite(block).all(axis=1)]
-        assert np.array_equal(stream._buffer[-8:], clean)
+        assert np.array_equal(session.ring.window()[-8:], clean)
 
     def test_impute_last_forward_fills_per_entity(self, rng):
-        stream = StreamingFOCUS(make_model(rng), nan_policy="impute_last")
+        session = make_session("impute_last")
         first = np.array([1.0, 2.0, 3.0])
-        stream.observe(first)
+        session.observe(first)
         bad = np.array([np.nan, 5.0, np.inf])
-        stream.observe(bad)
-        assert stream.stats.imputed_values == 2
-        assert np.array_equal(stream._buffer[-1], [1.0, 5.0, 3.0])
-        assert np.isfinite(stream._ring).all()
+        session.observe(bad)
+        assert session.stats.imputed_values == 2
+        assert np.array_equal(session.ring.window()[-1], [1.0, 5.0, 3.0])
+        assert np.isfinite(session.ring.storage).all()
 
     def test_impute_last_without_history_uses_zero(self, rng):
-        stream = StreamingFOCUS(make_model(rng), nan_policy="impute_last")
-        stream.observe(np.array([np.nan, 1.0, np.nan]))
-        assert np.array_equal(stream._buffer[-1], [0.0, 1.0, 0.0])
+        session = make_session("impute_last")
+        session.observe(np.array([np.nan, 1.0, np.nan]))
+        assert np.array_equal(session.ring.window()[-1], [0.0, 1.0, 0.0])
 
     def test_impute_prototype_uses_dictionary_mean(self, rng):
         model = make_model(rng)
-        stream = StreamingFOCUS(model, nan_policy="impute_prototype")
+        store = EntitySessionStore.for_model(model, nan_policy="impute_prototype")
+        session = store.session(ENTITY)
         fill = float(np.mean(model.prototype_values()))
-        stream.observe(np.array([np.nan, 7.0, 7.0]))
-        assert stream._buffer[-1, 0] == pytest.approx(fill)
-        assert np.array_equal(stream._buffer[-1, 1:], [7.0, 7.0])
+        session.observe(np.array([np.nan, 7.0, 7.0]))
+        assert session.ring.window()[-1, 0] == pytest.approx(fill)
+        assert np.array_equal(session.ring.window()[-1, 1:], [7.0, 7.0])
 
     def test_unknown_policy_rejected(self, rng):
         with pytest.raises(ValueError, match="nan_policy"):
-            StreamingFOCUS(make_model(rng), nan_policy="ostrich")
+            ServingConfig(nan_policy="ostrich")
+        with pytest.raises(ValueError, match="nan_policy"):
+            make_session("ostrich")
+
+    def test_overflow_in_block_imputes_quietly(self):
+        """A value past float32's range casts to inf and is imputed, in a
+        block exactly as in a single row, without an overflow warning."""
+        ring = ObservationRing(4, 3, dtype=np.float32, nan_policy="impute_last")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ring.observe(np.array([1.0, 2.0, 3.0]))
+            ring.observe(np.array([1e39, 5.0, 6.0]))
+            result = ring.observe_many(np.array([[1e39, 1.0, 2.0]]))
+        assert result.imputed == 1 and result.accepted == 1
+        assert ring.window()[-2:].tolist() == [[1.0, 5.0, 6.0], [1.0, 1.0, 2.0]]
 
     def test_apply_nan_policy_finite_fast_path_is_identity(self, rng):
         block = rng.standard_normal((5, 3))
@@ -216,6 +239,15 @@ class TestHealthMonitor:
 
 @pytest.mark.chaos
 class TestDegradedForecasting:
+    """One entity through :class:`ForecastServer` (cache off, so every
+    forecast runs the model) over a fault-injecting model."""
+
+    @staticmethod
+    def serve(model, data, **config):
+        server = ForecastServer(model, ServingConfig(use_cache=False, **config))
+        server.observe_many(ENTITY, data)
+        return server
+
     def test_nan_injection_never_leaks_and_health_recovers(self, rng):
         """Acceptance: NaN model outputs every 3rd call -> forecast() stays
         finite 100% of the time, goes DEGRADED, and heals when the
@@ -223,74 +255,82 @@ class TestDegradedForecasting:
         model = ChaosModel(
             make_model(rng), ChaosSpec(nan_every=3, stop_after=30)
         )
-        stream = StreamingFOCUS(model, recover_after=3)
-        stream.observe_many(rng.standard_normal((LOOKBACK, ENTITIES)))
+        server = self.serve(
+            model, rng.standard_normal((LOOKBACK, ENTITIES)), recover_after=3
+        )
         saw_degraded = False
         for call in range(1, 41):
-            forecast = stream.forecast()
+            response = server.forecast(ENTITY)
+            forecast = response.forecast
             assert np.isfinite(forecast).all(), f"non-finite forecast at call {call}"
             assert forecast.shape == (HORIZON, ENTITIES)
             if call <= 30 and call % 3 == 0:
-                assert stream.stats.last_forecast_source == "fallback:persistence"
-                assert stream.health is HealthState.DEGRADED
+                assert response.source == "fallback:persistence"
+                assert server.health.state is HealthState.DEGRADED
                 saw_degraded = True
             elif call > 33:
-                assert stream.stats.last_forecast_source == "model"
+                assert response.source == "model"
         assert saw_degraded
-        assert stream.health is HealthState.HEALTHY
-        assert stream.stats.health == "HEALTHY"
-        assert stream.stats.model_failures == model.injected_nans == 10
-        assert stream.stats.fallback_forecasts == 10
-        assert stream.stats.forecasts == 40
+        assert server.health.state is HealthState.HEALTHY
+        stats = server.stats()
+        assert stats["health"] == "HEALTHY"
+        assert stats["fallback_forecasts"] == model.injected_nans == 10
+        assert stats["model_forecasts"] == 30
+        assert stats["forecasts"] == 40
 
     def test_exceptions_fall_back_and_eventually_fail(self, rng):
-        model = ChaosModel(make_model(rng), ChaosSpec(fail_every=1))
-        stream = StreamingFOCUS(model, fail_threshold=4)
+        """A raising forward answers from the fallback; the health goes
+        DEGRADED, FAILED after ``fail_threshold`` failures in a row, and
+        climbs back one rung at a time once the model heals."""
+        model = ChaosModel(make_model(rng), ChaosSpec(fail_every=1, stop_after=4))
         data = rng.standard_normal((LOOKBACK, ENTITIES))
-        stream.observe_many(data)
+        server = self.serve(model, data, fail_threshold=4, recover_after=2)
         for _ in range(3):
-            forecast = stream.forecast()
-            assert np.isfinite(forecast).all()
-        assert stream.health is HealthState.DEGRADED
-        forecast = stream.forecast()
-        assert stream.health is HealthState.FAILED
-        # Even FAILED streams keep answering from the fallback.
+            response = server.forecast(ENTITY)
+            assert np.isfinite(response.forecast).all()
+            assert response.source == "fallback:persistence"
+        assert server.health.state is HealthState.DEGRADED
+        forecast = server.forecast(ENTITY).forecast
+        assert server.health.state is HealthState.FAILED
+        # Even a FAILED server keeps answering from the fallback.
         np.testing.assert_allclose(
             forecast, persistence_forecast(data, HORIZON)
         )
-        assert "ChaosError" in stream._health.transitions[0][2]
+        assert "ChaosError" in server.health.transitions[0][2]
+        # The model heals: FAILED -> DEGRADED -> HEALTHY.
+        assert server.forecast(ENTITY).source == "model"
+        assert server.health.state is HealthState.DEGRADED
+        server.forecast(ENTITY)
+        assert server.health.state is HealthState.HEALTHY
+        assert model.injected_failures == 4
 
     def test_seasonal_fallback_tiles_last_season(self, rng):
         model = ChaosModel(make_model(rng), ChaosSpec(fail_every=1))
-        stream = StreamingFOCUS(
-            model, fallback="seasonal", seasonal_period=4
-        )
         data = rng.standard_normal((LOOKBACK, ENTITIES))
-        stream.observe_many(data)
-        forecast = stream.forecast()
+        server = self.serve(model, data, fallback="seasonal", seasonal_period=4)
+        response = server.forecast(ENTITY)
         expected = seasonal_naive_forecast(data, HORIZON, 4)
-        np.testing.assert_allclose(forecast, expected)
+        np.testing.assert_allclose(response.forecast, expected)
         np.testing.assert_allclose(expected[:4], data[-4:])
-        assert stream.stats.last_forecast_source == "fallback:seasonal"
+        assert response.source == "fallback:seasonal"
 
     def test_healthy_model_forecast_flagged_as_model(self, rng):
-        stream = StreamingFOCUS(make_model(rng))
-        stream.observe_many(rng.standard_normal((LOOKBACK, ENTITIES)))
-        forecast = stream.forecast()
-        assert np.isfinite(forecast).all()
-        assert stream.stats.last_forecast_source == "model"
-        assert stream.stats.fallback_forecasts == 0
-        assert stream.health is HealthState.HEALTHY
+        server = self.serve(make_model(rng), rng.standard_normal((LOOKBACK, ENTITIES)))
+        response = server.forecast(ENTITY)
+        assert np.isfinite(response.forecast).all()
+        assert response.source == "model"
+        assert server.stats()["fallback_forecasts"] == 0
+        assert server.health.state is HealthState.HEALTHY
 
 
 class TestFallbackValidation:
     def test_seasonal_requires_period(self, rng):
         with pytest.raises(ValueError, match="seasonal_period"):
-            StreamingFOCUS(make_model(rng), fallback="seasonal")
+            ForecastServer(make_model(rng), ServingConfig(fallback="seasonal"))
 
     def test_unknown_fallback_rejected(self, rng):
         with pytest.raises(ValueError, match="fallback"):
-            StreamingFOCUS(make_model(rng), fallback="oracle")
+            ForecastServer(make_model(rng), ServingConfig(fallback="oracle"))
 
     def test_seasonal_naive_degenerate_period_falls_back(self, rng):
         window = rng.standard_normal((8, 2))

@@ -5,13 +5,17 @@ so the whole suite — including the concurrency hammer and the hypothesis
 equivalence properties — stays fast while exercising every serving code
 path.  Construction is fully seeded (``nn.init.seed``) so golden
 fixtures are reproducible.
+
+:func:`eager_forecast` is the suite's reference answer for one entity.
 """
 
 import numpy as np
 import pytest
 
+from repro import autograd as ag
 from repro.core.model import FOCUSConfig, FOCUSForecaster
 from repro.nn import init as nn_init
+from repro.serving.session import ObservationRing
 
 LOOKBACK = 32
 HORIZON = 8
@@ -46,3 +50,19 @@ def model() -> FOCUSForecaster:
 @pytest.fixture(scope="module")
 def model_f32() -> FOCUSForecaster:
     return build_model("float32")
+
+
+def eager_forecast(model, rows: np.ndarray, nan_policy: str = "reject") -> np.ndarray:
+    """The serving oracle for one entity: ``rows`` through one
+    :class:`ObservationRing`, then one eager ``model(Tensor(window[None]))``
+    forward (no batching, no plan, no cache)."""
+    ring = ObservationRing(
+        model.config.lookback,
+        model.config.num_entities,
+        dtype=next(iter(model.parameters())).data.dtype,
+        nan_policy=nan_policy,
+        fill_value=lambda: float(np.mean(model.prototype_values())),
+    )
+    ring.observe_many(rows)
+    with ag.no_grad():
+        return model(ag.Tensor(ring.window()[None])).data[0].astype(np.float64)

@@ -12,7 +12,6 @@ system's subsequent behavior is unchanged.
 import numpy as np
 import pytest
 
-from repro.core.streaming import StreamingFOCUS
 from repro.serving import ForecastCache, ForecastServer, ServingConfig
 
 from .conftest import LOOKBACK, NUM_ENTITIES
@@ -21,29 +20,31 @@ pytestmark = pytest.mark.serve
 
 
 @pytest.fixture
-def warmed_stream(model, rng):
-    stream = StreamingFOCUS(model)
-    stream.observe_many(rng.normal(size=(LOOKBACK, NUM_ENTITIES)))
-    return stream
+def warmed_server(model, rng):
+    """One warmed entity on a cache-off server: every forecast is a
+    fresh forward."""
+    server = ForecastServer(model, ServingConfig(use_cache=False))
+    server.observe_many("stream", rng.normal(size=(LOOKBACK, NUM_ENTITIES)))
+    return server
 
 
-def test_streaming_forecast_not_aliased(warmed_stream):
-    first = warmed_stream.forecast()
+def test_streaming_forecast_not_aliased(warmed_server):
+    first = warmed_server.forecast("stream").forecast
     first[:] = np.nan
-    second = warmed_stream.forecast()
+    second = warmed_server.forecast("stream").forecast
     assert np.isfinite(second).all()
 
 
-def test_streaming_buffer_property_not_aliased(warmed_stream):
-    window = warmed_stream._buffer
+def test_streaming_buffer_property_not_aliased(warmed_server):
+    window = warmed_server.store.session("stream").ring.window()
     window[:] = np.nan
-    assert np.isfinite(warmed_stream._buffer).all()
-    assert np.isfinite(warmed_stream.forecast()).all()
+    assert np.isfinite(warmed_server.store.session("stream").ring.window()).all()
+    assert np.isfinite(warmed_server.forecast("stream").forecast).all()
 
 
-def test_ring_window_and_recent_not_aliased(warmed_stream):
-    ring = warmed_stream.ring
-    for view in (ring.window(), ring.recent(4), ring.last_written_row()):
+def test_ring_window_and_recent_not_aliased(warmed_server):
+    ring = warmed_server.store.session("stream").ring
+    for view in (ring.window(), ring.last_written_row()):
         view[...] = np.nan
     assert np.isfinite(ring.storage).all()
 

@@ -1,9 +1,9 @@
-"""Batched serving path ≡ sequential streaming path.
+"""Batched serving path ≡ one eager forward per entity.
 
 The serving subsystem's core claim: for every entity, the forecast
 produced by the micro-batched ``(B, L, N)`` forward is **bit-identical**
-(float64) to what a single-entity :class:`StreamingFOCUS` would have
-produced from the same observations — regardless of batch size, batch
+(float64) to one eager forward of the same entity's window
+(``conftest.eager_forecast``) — regardless of batch size, batch
 composition, or which NaN policies its batchmates use.  Float32 models
 are held to 1e-4 (accumulated rounding differs across BLAS paths).
 
@@ -18,10 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.streaming import StreamingFOCUS
 from repro.serving import ForecastServer, ServingConfig
 
-from .conftest import LOOKBACK, NUM_ENTITIES
+from .conftest import LOOKBACK, NUM_ENTITIES, eager_forecast
 
 pytestmark = pytest.mark.serve
 
@@ -39,13 +38,6 @@ def make_streams(n_entities, steps, seed, nan_every=0):
     return streams
 
 
-def sequential_forecast(model, data, nan_policy="reject"):
-    """The oracle: one entity, one window at a time, through streaming."""
-    stream = StreamingFOCUS(model, nan_policy=nan_policy)
-    stream.observe_many(data)
-    return stream.forecast()
-
-
 @pytest.mark.parametrize("batch_size", [1, 3, BATCH_K, 4 * BATCH_K])
 def test_batched_equals_sequential_float64(model, batch_size):
     streams = make_streams(batch_size, LOOKBACK + 5, seed=batch_size)
@@ -56,7 +48,7 @@ def test_batched_equals_sequential_float64(model, batch_size):
     assert len(responses) == batch_size
     for response in responses:
         assert response.source == "model"
-        expected = sequential_forecast(model, streams[response.entity])
+        expected = eager_forecast(model, streams[response.entity])
         assert np.array_equal(response.forecast, expected)  # bit-identical
 
 
@@ -69,7 +61,7 @@ def test_batched_close_float32(model_f32, batch_size):
     for entity_id, data in streams.items():
         server.observe_many(entity_id, data)
     for response in server.forecast_many(list(streams)):
-        expected = sequential_forecast(model_f32, streams[response.entity])
+        expected = eager_forecast(model_f32, streams[response.entity])
         np.testing.assert_allclose(response.forecast, expected, atol=1e-4, rtol=1e-4)
 
 
@@ -84,7 +76,7 @@ def test_ragged_subsets_float64(model):
         for response in server.forecast_many(subset):
             assert np.array_equal(response.forecast, full[response.entity])
     for entity_id, data in streams.items():
-        assert np.array_equal(full[entity_id], sequential_forecast(model, data))
+        assert np.array_equal(full[entity_id], eager_forecast(model, data))
 
 
 def test_nan_policy_mix_float64(model):
@@ -97,7 +89,7 @@ def test_nan_policy_mix_float64(model):
         session.observe_many(data)
     responses = server.forecast_many(list(streams))
     for response, policy in zip(responses, policies):
-        expected = sequential_forecast(
+        expected = eager_forecast(
             model, streams[response.entity], nan_policy=policy
         )
         assert np.array_equal(response.forecast, expected)
@@ -136,7 +128,7 @@ def test_property_batched_equals_sequential(model, n_entities, extra_steps, seed
     # Twice: the second pass may be served from cache — must be the same bits.
     for _ in range(2):
         for response in server.forecast_many(list(streams)):
-            expected = sequential_forecast(model, streams[response.entity])
+            expected = eager_forecast(model, streams[response.entity])
             assert np.array_equal(response.forecast, expected)
 
 

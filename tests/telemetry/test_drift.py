@@ -1,11 +1,9 @@
-"""Drift-monitor unit tests plus the frozen-prototype chaos scenario."""
+"""Drift-monitor unit tests and the forecaster's assignment profile."""
 
 import numpy as np
 import pytest
 
 from repro.core import FOCUSConfig, FOCUSForecaster
-from repro.core.streaming import StreamingFOCUS
-from repro.robustness import HealthState
 from repro.telemetry import (
     DriftConfig,
     DriftMonitor,
@@ -189,61 +187,3 @@ class TestForecasterProfile:
         assert profile["counts"].sum() == len(profile["assignments"])
         assert 0.0 <= profile["entropy"] <= 1.0
         assert profile["mean_distance"] >= 0.0
-
-
-@pytest.mark.chaos
-class TestStreamingDriftChaos:
-    """Acceptance: frozen prototypes + a distribution-shifted stream must
-    flip StreamingFOCUS health to DEGRADED via the drift alarm, while the
-    model itself keeps returning finite numbers."""
-
-    def test_shifted_stream_degrades_health(self, rng):
-        model = make_model(rng)
-        registry = MetricsRegistry()
-        stream = StreamingFOCUS(
-            model,
-            telemetry=registry,
-            drift=DriftConfig(
-                window=4, baseline_forecasts=4, threshold=0.3,
-                alarm_streak=2, min_segments=8,
-            ),
-        )
-        baseline = 0.1 * rng.standard_normal((LOOKBACK, ENTITIES))
-        stream.observe_many(baseline)
-        for _ in range(6):  # capture baseline on the quiet regime
-            forecast = stream.forecast()
-            assert np.isfinite(forecast).all()
-            stream.observe(0.1 * rng.standard_normal(ENTITIES))
-        assert stream.health is HealthState.HEALTHY
-        assert stream.stats.drift_alarms == 0
-
-        # Regime change the frozen dictionary has never seen: large
-        # alternating-sign swings instead of small noise.
-        sign = 1.0
-        for step in range(40):
-            row = sign * 8.0 + 0.1 * rng.standard_normal(ENTITIES)
-            sign = -sign
-            stream.observe(row)
-            forecast = stream.forecast()
-            assert np.isfinite(forecast).all()
-            if stream.stats.drift_alarms > 0:
-                break
-        assert stream.stats.drift_alarms > 0, "drift alarm never fired"
-        assert stream.health is not HealthState.HEALTHY
-        # The drifted forecasts still came from the model, not a fallback.
-        assert stream.stats.last_forecast_source == "model"
-        assert registry.value("focus_drift_alarms_total") >= 1
-        assert stream.stats.assignment_drift > 0.3
-        # The health transition was caused by the drift alarm.
-        assert any(
-            "drift" in reason for _, _, reason, _ in stream._health.transitions
-        )
-
-    def test_drift_config_requires_prototypes(self, rng):
-        config = FOCUSConfig(
-            lookback=LOOKBACK, horizon=HORIZON, num_entities=ENTITIES,
-            segment_length=6, num_prototypes=4, d_model=8, num_readout=2,
-        )
-        attn_model = FOCUSForecaster(config, mixer="attn")
-        with pytest.raises(ValueError, match="prototype"):
-            StreamingFOCUS(attn_model, drift=DriftConfig())

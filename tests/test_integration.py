@@ -13,9 +13,9 @@ from repro.core import (
     SegmentClusterer,
     make_focus_variant,
 )
-from repro.core.streaming import StreamingFOCUS
 from repro.data import load_dataset
 from repro.profiling import profile_model
+from repro.serving import ForecastServer
 from repro.training import (
     ExperimentConfig,
     Trainer,
@@ -93,9 +93,9 @@ class TestEndToEndPipeline:
 
     def test_streaming_matches_offline_inference(self, data, trained_focus):
         model, _ = trained_focus
-        stream = StreamingFOCUS(model)
-        stream.observe_many(data.test[:LOOKBACK])
-        streamed = stream.forecast()
+        server = ForecastServer(model)
+        server.observe_many("stream", data.test[:LOOKBACK])
+        streamed = server.forecast("stream").forecast
         with ag.no_grad():
             direct = model(ag.Tensor(data.test[None, :LOOKBACK])).data[0]
         assert np.allclose(streamed, direct)
